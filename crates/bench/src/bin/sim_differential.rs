@@ -1,9 +1,7 @@
-//! `sim_differential` — the compiled backends' differential oracle gate.
+//! `sim_differential` — the bytecode backend's differential oracle gate.
 //!
-//! Runs every design we can get our hands on through all three simulation
-//! backends — the tree-walking interpreter as the reference, the bytecode
-//! VM and the levelized netlist backend as candidates — and demands
-//! *byte-identical* observable behaviour:
+//! Runs every design we can get our hands on through both simulation
+//! backends and demands *byte-identical* observable behaviour:
 //!
 //! 1. **Problem catalog** — the reference body and every alternate body of
 //!    every problem (core + extended), assembled exactly like the eval
@@ -18,7 +16,7 @@
 //!    must reach the same verdict within the same budgets.
 //!
 //! Prints a deterministic per-case report and exits non-zero on any
-//! divergence, so CI can gate merges on three-way backend parity.
+//! divergence, so CI can gate merges on interpreter/bytecode parity.
 
 use std::process::ExitCode;
 
@@ -77,30 +75,26 @@ fn main() -> ExitCode {
             let source = assemble(prob, PromptLevel::Low, body);
             let full = format!("{source}\n{}", prob.testbench);
             cases += 1;
-            let reference = run(&full, SimBackend::Interp);
-            for backend in [SimBackend::Bytecode, SimBackend::Netlist] {
-                match (&reference, run(&full, backend)) {
-                    (Ok(a), Ok(b)) if *a == b => {}
-                    (Ok(a), Ok(b)) => {
-                        failures += 1;
-                        fail(
-                            &name,
-                            format!("[{}] {}", backend.as_str(), describe_divergence(a, &b)),
-                        );
-                    }
-                    (Err(a), Err(b)) if *a == b => {}
-                    (a, b) => {
-                        failures += 1;
-                        fail(
-                            &name,
-                            format!(
-                                "front-end/verdict split: interp={:?} {}={:?}",
-                                a.as_ref().map(|o| &o.reason),
-                                backend.as_str(),
-                                b.as_ref().map(|o| &o.reason)
-                            ),
-                        );
-                    }
+            match (
+                run(&full, SimBackend::Interp),
+                run(&full, SimBackend::Bytecode),
+            ) {
+                (Ok(a), Ok(b)) if a == b => {}
+                (Ok(a), Ok(b)) => {
+                    failures += 1;
+                    fail(&name, describe_divergence(&a, &b));
+                }
+                (Err(a), Err(b)) if a == b => {}
+                (a, b) => {
+                    failures += 1;
+                    fail(
+                        &name,
+                        format!(
+                            "front-end/verdict split: interp={:?} bytecode={:?}",
+                            a.as_ref().map(|o| &o.reason),
+                            b.as_ref().map(|o| &o.reason)
+                        ),
+                    );
                 }
             }
         }
@@ -129,18 +123,10 @@ fn main() -> ExitCode {
         cases += 1;
         corpus_cases += 1;
         let a = check_source(p2, &source, config(SimBackend::Interp));
-        for backend in [SimBackend::Bytecode, SimBackend::Netlist] {
-            let b = check_source(p2, &source, config(backend));
-            if a != b {
-                failures += 1;
-                fail(
-                    &name,
-                    format!(
-                        "checker verdict diverged [{}]: {a:?} vs {b:?}",
-                        backend.as_str()
-                    ),
-                );
-            }
+        let b = check_source(p2, &source, config(SimBackend::Bytecode));
+        if a != b {
+            failures += 1;
+            fail(&name, format!("checker verdict diverged: {a:?} vs {b:?}"));
         }
     }
     println!("corpora: {corpus_cases} hostile/slow completions classified identically");

@@ -3,20 +3,18 @@
 //! A/B timing without the vector-op and sweep phases.
 //!
 //! With `all` (or no backend argument) it runs the per-backend breakdown
-//! instead: the same testbench through interp, bytecode, and netlist
-//! back-to-back with ratios against the interpreter, plus the netlist
-//! path-attribution counters (levelized processes, sweeps, fallback
-//! wakes), so a throughput regression is attributable to a specific
-//! backend at a glance.
+//! instead: the same testbench through interp and bytecode back-to-back
+//! with the bytecode/interp ratio, so a throughput regression is
+//! attributable to a specific backend at a glance.
 //!
 //! ```text
 //! cargo run --release -p vgen-bench --bin sim_profile -- \
-//!     [interp|bytecode|netlist|all] [cycles] [bank] [procs] [nba|blocking]
+//!     [interp|bytecode|all] [cycles] [bank] [procs] [nba|blocking]
 //! ```
 
 use std::time::Instant;
 
-use vgen_sim::{SimBackend, SimConfig, SimStats, Simulator};
+use vgen_sim::{SimBackend, SimConfig, Simulator};
 
 fn counter_testbench(cycles: u64, bank: usize, procs: usize, nba: bool) -> String {
     let op = if nba { "<=" } else { "=" };
@@ -52,26 +50,22 @@ fn counter_testbench(cycles: u64, bank: usize, procs: usize, nba: bool) -> Strin
     src
 }
 
-/// One timed run; the stats are all-zero off the netlist backend.
-fn run_one(src: &str, config: SimConfig) -> (u64, f64, SimStats) {
+/// One timed run: executed steps and wall seconds.
+fn run_one(src: &str, config: SimConfig) -> (u64, f64) {
     let file = vgen_verilog::parse(src).expect("counter testbench parses");
     let design = vgen_sim::elab::elaborate(&file, "tb").expect("counter testbench elaborates");
     let sim = Simulator::with_config(design, config);
     let start = Instant::now();
-    let (out, _, stats) = sim.run_with_state_stats();
-    (out.steps, start.elapsed().as_secs_f64(), stats)
+    let out = sim.run();
+    (out.steps, start.elapsed().as_secs_f64())
 }
 
-/// Per-backend breakdown: all three backends on the identical testbench.
+/// Per-backend breakdown: both backends on the identical testbench.
 fn breakdown(src: &str, cycles: u64, config: &SimConfig) {
     let mut interp_secs = None;
-    for backend in [
-        SimBackend::Interp,
-        SimBackend::Bytecode,
-        SimBackend::Netlist,
-    ] {
+    for backend in [SimBackend::Interp, SimBackend::Bytecode] {
         let cfg = SimConfig { backend, ..*config };
-        let (steps, seconds, stats) = run_one(src, cfg);
+        let (steps, seconds) = run_one(src, cfg);
         let vs_interp = match interp_secs {
             None => {
                 interp_secs = Some(seconds);
@@ -79,7 +73,7 @@ fn breakdown(src: &str, cycles: u64, config: &SimConfig) {
             }
             Some(base) => base / seconds,
         };
-        print!(
+        println!(
             "{:>8}: {:>9.3}s = {:>9.0} cycles/s  ({:>7.2} Msteps/s, {} steps)  {:>5.2}x vs interp",
             backend.as_str(),
             seconds,
@@ -88,13 +82,6 @@ fn breakdown(src: &str, cycles: u64, config: &SimConfig) {
             steps,
             vs_interp,
         );
-        if backend == SimBackend::Netlist {
-            print!(
-                "  [levelized procs {}, sweeps {}, fallback wakes {}]",
-                stats.netlist_procs, stats.netlist_sweeps, stats.netlist_fallback_wakes
-            );
-        }
-        println!();
     }
 }
 
@@ -104,7 +91,7 @@ fn main() {
     let backend: SimBackend = args
         .first()
         .filter(|a| *a != "all")
-        .map(|a| a.parse().expect("backend is interp, bytecode or netlist"))
+        .map(|a| a.parse().expect("backend is interp or bytecode"))
         .unwrap_or_default();
     let cycles: u64 = args
         .get(1)
@@ -129,7 +116,7 @@ fn main() {
         breakdown(&src, cycles, &config);
         return;
     }
-    let (steps, seconds, _) = run_one(&src, config);
+    let (steps, seconds) = run_one(&src, config);
     println!(
         "{}: {} cycles, {} steps, {:.3}s = {:.0} cycles/s ({:.2} Msteps/s)",
         backend.as_str(),

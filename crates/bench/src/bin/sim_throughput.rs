@@ -286,22 +286,16 @@ fn run_counter(quick: bool, backend: SimBackend) -> SimSample {
     }
 }
 
-/// Runs the counter testbench through the interpreter, the bytecode VM and
-/// the netlist backend, asserting all three agree on output and step count
-/// before comparing speed.
-fn measure_sim(quick: bool) -> (SimSample, SimSample, SimSample) {
+/// Runs the counter testbench through the interpreter and the bytecode VM,
+/// asserting they agree on output and step count before comparing speed.
+fn measure_sim(quick: bool) -> (SimSample, SimSample) {
     let interp = run_counter(quick, SimBackend::Interp);
     let bytecode = run_counter(quick, SimBackend::Bytecode);
-    let netlist = run_counter(quick, SimBackend::Netlist);
     assert_eq!(
         interp.steps, bytecode.steps,
         "backends disagree on step count"
     );
-    assert_eq!(
-        interp.steps, netlist.steps,
-        "netlist backend disagrees on step count"
-    );
-    (interp, bytecode, netlist)
+    (interp, bytecode)
 }
 
 struct DedupSample {
@@ -380,8 +374,8 @@ fn main() {
         .map(|s| s.speedup)
         .fold(f64::INFINITY, f64::min);
 
-    let (sim_interp, sim_bc, sim_net) = measure_sim(quick);
-    for sim in [&sim_interp, &sim_bc, &sim_net] {
+    let (sim_interp, sim_bc) = measure_sim(quick);
+    for sim in [&sim_interp, &sim_bc] {
         println!(
             "  simulation[{}]: {} cycles in {:.3}s = {:.0} cycles/s ({:.2} Msteps/s)",
             sim.backend.as_str(),
@@ -393,8 +387,6 @@ fn main() {
     }
     let sim_speedup = sim_bc.cycles_per_sec / sim_interp.cycles_per_sec;
     println!("  bytecode vs interpreter: {sim_speedup:.2}x cycles/s");
-    let netlist_speedup = sim_net.cycles_per_sec / sim_bc.cycles_per_sec;
-    println!("  netlist vs bytecode: {netlist_speedup:.2}x cycles/s");
 
     let dedup = measure_dedup(quick);
     println!(
@@ -413,9 +405,7 @@ fn main() {
         min_speedup_wide,
         &sim_interp,
         &sim_bc,
-        &sim_net,
         sim_speedup,
-        netlist_speedup,
         &dedup,
     );
     write_artifact("BENCH_sim.json", &json);
@@ -446,13 +436,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("  bytecode speedup floor: {sim_speedup:.1}x (>= 5x required)");
-    if netlist_speedup < 3.0 {
-        eprintln!(
-            "FAIL: netlist backend only {netlist_speedup:.2}x the bytecode VM on cycles/s (need 3x)"
-        );
-        std::process::exit(1);
-    }
-    println!("  netlist speedup floor: {netlist_speedup:.1}x (>= 3x required)");
 }
 
 /// Hand-rolled JSON (no serde in this environment): a stable, diffable
@@ -465,9 +448,7 @@ fn render_json(
     min_speedup_wide: f64,
     sim_interp: &SimSample,
     sim_bc: &SimSample,
-    sim_net: &SimSample,
     sim_speedup: f64,
-    netlist_speedup: f64,
     dedup: &DedupSample,
 ) -> String {
     let mut out = String::from("{\n");
@@ -502,12 +483,7 @@ fn render_json(
         "  \"simulation_bytecode\": {},\n",
         sim_obj(sim_bc)
     ));
-    out.push_str(&format!(
-        "  \"simulation_netlist\": {},\n",
-        sim_obj(sim_net)
-    ));
     out.push_str(&format!("  \"sim_speedup\": {sim_speedup:.2},\n"));
-    out.push_str(&format!("  \"netlist_speedup\": {netlist_speedup:.2},\n"));
     out.push_str(&format!(
         "  \"dedup_cache\": {{\"checks_run\": {}, \"cache_hits\": {}, \"hit_rate\": {:.4}, \"seconds_cache_on\": {:.6}, \"seconds_cache_off\": {:.6}}}\n",
         dedup.stats.checks_run,

@@ -488,6 +488,9 @@ fn serve_connection<R, W>(
                     workers.push(std::thread::spawn(move || {
                         run_request(envelope, &writer, &registry, &shutdown, &live, conn);
                     }));
+                    // Dropping a finished handle releases its thread's
+                    // stack; keeping it pins the stack until EOF.
+                    workers.retain(|h| !h.is_finished());
                 } else {
                     run_request(envelope, &writer, &registry, &shutdown, &live, conn);
                     if shutdown.load(Ordering::SeqCst) {
@@ -593,4 +596,122 @@ pub fn serve_stdio() {
     let shutdown = Arc::new(AtomicBool::new(false));
     serve_connection(io::stdin(), writer, shutdown, LiveState::default(), 0);
     let _ = vgen_obs::collect();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::Shutdown;
+
+    /// One in-process connection over a socket pair: the client end, a
+    /// reader of its event lines, and the thread serving it.
+    fn connect() -> (
+        UnixStream,
+        BufReader<UnixStream>,
+        std::thread::JoinHandle<()>,
+    ) {
+        let (client, server) = UnixStream::pair().expect("socket pair");
+        let events = BufReader::new(client.try_clone().expect("clone client end"));
+        let serving = std::thread::spawn(move || {
+            let writer = Arc::new(LineWriter {
+                inner: Mutex::new(server.try_clone().expect("clone server end")),
+            });
+            let shutdown = Arc::new(AtomicBool::new(false));
+            serve_connection(server, writer, shutdown, LiveState::default(), 1);
+        });
+        (client, events, serving)
+    }
+
+    /// Sends one request line and returns its terminal event.
+    fn request(client: &mut UnixStream, events: &mut BufReader<UnixStream>, line: &str) -> Json {
+        writeln!(client, "{line}").expect("send request");
+        let mut buf = String::new();
+        loop {
+            buf.clear();
+            let n = events.read_line(&mut buf).expect("read event line");
+            assert!(n > 0, "connection closed before a terminal event");
+            let event = Json::parse(buf.trim()).expect("event line parses");
+            let kind = event.get("event").and_then(Json::as_str);
+            if matches!(kind, Some("done" | "error" | "cancelled")) {
+                return event;
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_sim_backend_is_a_typed_error() {
+        let journal = std::env::temp_dir().join(format!(
+            "vgen-daemon-backend-{}.journal",
+            std::process::id()
+        ));
+        let line = Json::Obj(vec![
+            ("id".to_string(), Json::Num(1.0)),
+            ("cmd".to_string(), Json::str("eval")),
+            (
+                "journal".to_string(),
+                Json::Str(journal.display().to_string()),
+            ),
+            ("sim_backend".to_string(), Json::str("netlist")),
+        ])
+        .render();
+        let (mut client, mut events, serving) = connect();
+        let reply = request(&mut client, &mut events, &line);
+        client
+            .shutdown(Shutdown::Write)
+            .expect("close request stream");
+        serving.join().expect("connection thread");
+        assert_eq!(reply.get("id").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(reply.get("event").and_then(Json::as_str), Some("error"));
+        let message = reply.get("message").and_then(Json::as_str).unwrap_or("");
+        assert!(
+            message.contains("unknown sim backend `netlist`"),
+            "message: {message}"
+        );
+        assert!(message.contains("`interp`") && message.contains("`bytecode`"));
+        assert!(
+            !journal.exists(),
+            "a rejected eval must not start a journal"
+        );
+    }
+
+    /// Each finished request thread must be released while the connection
+    /// lives: a retained handle pins the thread's stack and guard page, two
+    /// mappings per request, until the process hits the kernel's map limit.
+    /// Requests go one at a time, so at most one request thread is live.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn finished_request_threads_are_released_while_connected() {
+        const REQUESTS: usize = 2_000;
+        const WARMUP: usize = 100;
+        fn map_count() -> usize {
+            std::fs::read_to_string("/proc/self/maps")
+                .expect("read /proc/self/maps")
+                .lines()
+                .count()
+        }
+        let (mut client, mut events, serving) = connect();
+        let mut baseline = 0;
+        let mut peak = 0;
+        for id in 1..=REQUESTS {
+            if id == WARMUP {
+                baseline = map_count();
+            } else if id > WARMUP && id % 100 == 0 {
+                peak = peak.max(map_count());
+            }
+            let line = format!(
+                r#"{{"id":{id},"cmd":"check","problem":2,"source":"assign y = a & b;\nendmodule\n"}}"#
+            );
+            let reply = request(&mut client, &mut events, &line);
+            assert_eq!(reply.get("event").and_then(Json::as_str), Some("done"));
+        }
+        client
+            .shutdown(Shutdown::Write)
+            .expect("close request stream");
+        serving.join().expect("connection thread");
+        assert!(
+            peak <= baseline + 64,
+            "mappings grew from {baseline} to {peak} over {} requests",
+            REQUESTS - WARMUP
+        );
+    }
 }

@@ -27,7 +27,7 @@ use vgen_corpus::CorpusSource;
 use vgen_lm::{CompletionEngine, FamilyEngine, ModelFamily, ModelId, Tuning};
 use vgen_obs::CancelToken;
 use vgen_problems::PromptLevel;
-use vgen_sim::{SimBackend, SimConfig};
+use vgen_sim::SimConfig;
 
 use crate::json::Json;
 use crate::proto::{CheckRequest, EvalRequest, Event, LintRequest, SimRequest};
@@ -89,10 +89,6 @@ impl EngineParams {
     }
 }
 
-fn parse_backend(s: &str) -> Result<SimBackend, String> {
-    s.parse()
-}
-
 fn parse_levels(tags: &str) -> Result<Vec<PromptLevel>, String> {
     let mut levels = Vec::new();
     for c in tags.chars() {
@@ -151,7 +147,7 @@ fn resolve_eval(req: &EvalRequest) -> Result<(EngineParams, EvalConfig, SweepOpt
     } else {
         EvalConfig::quick()
     };
-    config.sim.backend = parse_backend(&req.sim_backend)?;
+    config.sim.backend = req.sim_backend.parse()?;
     if let Some(ids) = &req.problems {
         if ids.is_empty() {
             return Err("`problems` must not be empty".to_string());
@@ -599,7 +595,7 @@ impl Service {
             policy.timeout = Some(Duration::from_secs_f64(secs));
         }
         let sim = SimConfig {
-            backend: parse_backend(&req.sim_backend)?,
+            backend: req.sim_backend.parse()?,
             ..SimConfig::default()
         };
         let result = supervised_check_completion(problem, level, &req.source, sim, &policy);
@@ -664,7 +660,7 @@ impl Service {
     /// Parse/elaboration failures, as a rendered message.
     pub fn sim(&self, req: &SimRequest, cancel: &CancelToken) -> Result<Json, String> {
         let mut config = SimConfig {
-            backend: parse_backend(&req.sim_backend)?,
+            backend: req.sim_backend.parse()?,
             ..SimConfig::default()
         };
         if let Some(t) = req.max_time {

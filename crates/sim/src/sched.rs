@@ -27,13 +27,10 @@ use crate::systasks::{format_display, FormatValue};
 
 /// Which execution engine runs process bodies.
 ///
-/// All backends share the scheduler, event queue, system tasks, wake
+/// Both backends share the scheduler, event queue, system tasks, wake
 /// checks and write paths, so `sim.steps`, stop reasons, output and VCD
 /// waves are identical by construction; the bytecode backend only replaces
-/// per-instruction expression evaluation, and the netlist backend
-/// additionally collapses eligible synchronous `always` wakes into one
-/// levelized cone sweep (falling back to the bytecode VM per process and
-/// per wake outside the subset).
+/// per-instruction expression evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBackend {
     /// Tree-walking AST interpreter (the differential oracle).
@@ -41,9 +38,6 @@ pub enum SimBackend {
     Interp,
     /// Flat register-based bytecode VM (compiled once per design).
     Bytecode,
-    /// Levelized cycle-based netlist sweeps for eligible `always`
-    /// processes, bytecode VM for everything else.
-    Netlist,
 }
 
 impl SimBackend {
@@ -52,7 +46,6 @@ impl SimBackend {
         match self {
             SimBackend::Interp => "interp",
             SimBackend::Bytecode => "bytecode",
-            SimBackend::Netlist => "netlist",
         }
     }
 }
@@ -64,9 +57,8 @@ impl std::str::FromStr for SimBackend {
         match s {
             "interp" | "interpreter" => Ok(SimBackend::Interp),
             "bytecode" | "bc" => Ok(SimBackend::Bytecode),
-            "netlist" => Ok(SimBackend::Netlist),
             other => Err(format!(
-                "unknown sim backend `{other}` (expected `interp`, `bytecode` or `netlist`)"
+                "unknown sim backend `{other}` (expected `interp` or `bytecode`)"
             )),
         }
     }
@@ -184,25 +176,6 @@ pub struct SimOutput {
     pub steps: u64,
     /// VCD waveform text, present when the design executed `$dumpvars`.
     pub vcd: Option<String>,
-}
-
-/// Backend-attribution statistics from a completed run.
-///
-/// All fields are zero unless the run used [`SimBackend::Netlist`]. The
-/// backend-parity fuzzer uses these to assert that generated designs
-/// actually exercise the netlist path rather than silently falling back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SimStats {
-    /// Processes lowered to levelized cones (the rest run on the VM).
-    pub netlist_procs: u64,
-    /// Wakes evaluated as netlist sweeps.
-    pub netlist_sweeps: u64,
-    /// Wakes of lowered processes that ran on the bytecode VM instead
-    /// (t=0 activation, VCD active, or a step window that could hit the
-    /// budget or a cancellation poll mid-wake).
-    pub netlist_fallback_wakes: u64,
-    /// Scheduler steps accounted to sweeps instead of VM dispatch.
-    pub netlist_swept_steps: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -417,20 +390,6 @@ pub struct Simulator {
     dispatch_instrs: u64,
     /// Bytecode ops executed (reported as `sim.dispatch.ops`).
     dispatch_ops: u64,
-    /// Compiled netlist cones; `Some` iff the backend is
-    /// [`SimBackend::Netlist`].
-    netprog: Option<Arc<crate::netlist::NetProgram>>,
-    /// Reusable evaluation arenas for netlist sweeps.
-    net_scratch: crate::netlist::NetScratch,
-    /// Wakes evaluated as netlist sweeps.
-    net_sweeps: u64,
-    /// Wakes of lowered processes that ran on the bytecode VM instead
-    /// (t=0 activation, VCD active, or a step window that could hit the
-    /// budget or a cancellation poll mid-wake).
-    net_fallback_wakes: u64,
-    /// Scheduler steps covered by sweeps (they never reached the VM's
-    /// instruction dispatch).
-    net_swept_steps: u64,
     /// High-water mark of the future-event heap, emitted once at the end of
     /// the run instead of per `schedule_at` call.
     queue_depth_max: u64,
@@ -461,23 +420,13 @@ impl Simulator {
             .collect();
         let program = match config.backend {
             SimBackend::Interp => None,
-            SimBackend::Bytecode | SimBackend::Netlist => Some(Arc::new(
+            SimBackend::Bytecode => Some(Arc::new(
                 crate::compile::compile(&design).expect("bytecode lowering is total"),
             )),
         };
         let bc_regs = match &program {
             Some(p) => vec![LogicVec::from_bool(false); p.max_regs],
             None => Vec::new(),
-        };
-        let netprog = match (config.backend, &program) {
-            (SimBackend::Netlist, Some(p)) => {
-                Some(Arc::new(crate::netlist::compile_netlist(&design, p)))
-            }
-            _ => None,
-        };
-        let net_scratch = match &netprog {
-            Some(np) => crate::netlist::NetScratch::for_program(np),
-            None => crate::netlist::NetScratch::default(),
         };
         Simulator {
             state,
@@ -503,11 +452,6 @@ impl Simulator {
             stamp_gen: 0,
             dispatch_instrs: 0,
             dispatch_ops: 0,
-            netprog,
-            net_scratch,
-            net_sweeps: 0,
-            net_fallback_wakes: 0,
-            net_swept_steps: 0,
             queue_depth_max: 0,
             design: Arc::new(design),
         }
@@ -546,15 +490,7 @@ impl Simulator {
 
     /// Runs to completion and returns the output plus the final state
     /// (signal values and memory contents), for differential testing.
-    pub fn run_with_state(self) -> (SimOutput, State) {
-        let (output, state, _) = self.run_with_state_stats();
-        (output, state)
-    }
-
-    /// [`run_with_state`](Self::run_with_state), additionally reporting
-    /// which backend path each wake took (used by the backend-parity
-    /// fuzzer to prove its netlist cases are not vacuous).
-    pub fn run_with_state_stats(mut self) -> (SimOutput, State, SimStats) {
+    pub fn run_with_state(mut self) -> (SimOutput, State) {
         let _span = vgen_obs::span("simulate");
         // One refcount bump for the whole run: the dispatch loop resumes
         // processes millions of times per second, so the design and program
@@ -562,7 +498,6 @@ impl Simulator {
         // (which showed up as ~30% of bytecode runtime in profiles).
         let design = Arc::clone(&self.design);
         let program = self.program.take();
-        let netprog = self.netprog.take();
         // Time 0: every process starts.
         for i in 0..self.procs.len() {
             self.active.push_back(ProcessId(i as u32));
@@ -575,10 +510,7 @@ impl Simulator {
                 }
                 if let Some(pid) = self.active.pop_front() {
                     match &program {
-                        Some(p) => match &netprog {
-                            Some(np) => self.run_process_netlist(pid, &design, p, np),
-                            None => self.run_process_bc(pid, &design, p),
-                        },
+                        Some(p) => self.run_process_bc(pid, &design, p),
                         None => self.run_process_interp(pid),
                     }
                 } else if !self.inactive.is_empty() {
@@ -613,15 +545,12 @@ impl Simulator {
             }
         }
         self.program = program;
-        self.netprog = netprog;
         if self.program.is_some() {
             // Every counted step dispatched exactly one bytecode instruction,
-            // except steps accounted to netlist sweeps (which never reach the
-            // VM) and a cancelled run's final step, which stopped at the poll
+            // except a cancelled run's final step, which stopped at the poll
             // before reaching dispatch.
-            self.dispatch_instrs = self.steps
-                - self.net_swept_steps
-                - u64::from(matches!(self.stop, Some(StopReason::Cancelled)));
+            self.dispatch_instrs =
+                self.steps - u64::from(matches!(self.stop, Some(StopReason::Cancelled)));
         }
         vgen_obs::counter_add("sim.steps", self.steps);
         vgen_obs::counter_add("sim.future_events", self.future.seq);
@@ -632,24 +561,6 @@ impl Simulator {
             vgen_obs::counter_add("sim.dispatch.instrs", self.dispatch_instrs);
             vgen_obs::counter_add("sim.dispatch.ops", self.dispatch_ops);
         }
-        let stats = match &self.netprog {
-            Some(np) => {
-                let procs = np.procs.iter().filter(|p| p.is_some()).count() as u64;
-                vgen_obs::counter_add("sim.netlist.procs", procs);
-                vgen_obs::counter_add("sim.netlist.fast_procs", np.fast_procs as u64);
-                vgen_obs::counter_add("sim.netlist.sweeps", self.net_sweeps);
-                vgen_obs::counter_add("sim.netlist.fallback_wakes", self.net_fallback_wakes);
-                vgen_obs::counter_add("sim.netlist.swept_steps", self.net_swept_steps);
-                vgen_obs::gauge_max("sim.netlist.depth", np.max_depth as u64);
-                SimStats {
-                    netlist_procs: procs,
-                    netlist_sweeps: self.net_sweeps,
-                    netlist_fallback_wakes: self.net_fallback_wakes,
-                    netlist_swept_steps: self.net_swept_steps,
-                }
-            }
-            None => SimStats::default(),
-        };
         let output = SimOutput {
             vcd: self.vcd.take().map(|r| r.render(&self.design)),
             stdout: self.stdout,
@@ -657,53 +568,7 @@ impl Simulator {
             reason: self.stop.unwrap_or(StopReason::Quiescent),
             steps: self.steps,
         };
-        (output, self.state, stats)
-    }
-
-    /// Resumes `pid` on the netlist backend: an eligible, parked `always`
-    /// process woken by a watched-signal change is evaluated as one dense
-    /// in-rank-order sweep of its levelized cone; everything else — and any
-    /// wake whose worst-case step window could hit the step budget or a
-    /// cancellation poll mid-process — falls back to the bytecode VM, which
-    /// is exact by construction.
-    fn run_process_netlist(
-        &mut self,
-        pid: ProcessId,
-        design: &Design,
-        program: &BcProgram,
-        netprog: &crate::netlist::NetProgram,
-    ) {
-        let idx = pid.0 as usize;
-        let Some(np) = &netprog.procs[idx] else {
-            return self.run_process_bc(pid, design, program);
-        };
-        if matches!(self.procs[idx].status, Status::Done) {
-            return;
-        }
-        // `pc == 1` means "parked at the wait-event re-arm point": the only
-        // way an eligible process re-enters the active queue at pc 1 is a
-        // watched-signal wake. pc 0 is the one-time t=0 activation, which
-        // runs on the VM (it executes the same cone once and parks at 1).
-        let fits_budget = self.steps + np.max_cost <= self.config.max_steps;
-        let next_poll = (self.steps / CANCEL_POLL_STEPS + 1) * CANCEL_POLL_STEPS;
-        let crosses_poll = next_poll <= self.steps + np.max_cost;
-        if self.procs[idx].pc != 1 || self.vcd.is_some() || !fits_budget || crosses_poll {
-            self.net_fallback_wakes += 1;
-            return self.run_process_bc(pid, design, program);
-        }
-        let cost = np.sweep(
-            design,
-            &mut self.state,
-            &mut self.net_scratch,
-            &mut self.nba,
-            &mut self.bc_nba,
-        );
-        self.steps += cost;
-        self.net_swept_steps += cost;
-        self.net_sweeps += 1;
-        // Re-park exactly as the VM's WaitEventTable handler would: the
-        // wake check (`bc_wake_sig`) matches `WaitingSig` at wait-pc + 1.
-        self.procs[idx].status = Status::WaitingSig;
+        (output, self.state)
     }
 
     fn run_process_interp(&mut self, pid: ProcessId) {
@@ -1653,63 +1518,17 @@ mod tests {
         let d = elaborate_first(&f).expect("elab");
         let interp = Simulator::new(d.clone()).run();
         // Every scheduler test doubles as a differential test: the bytecode
-        // and netlist backends must produce the identical observable output.
-        for backend in [SimBackend::Bytecode, SimBackend::Netlist] {
-            let config = SimConfig {
-                backend,
-                ..SimConfig::default()
-            };
-            let out = Simulator::with_config(d.clone(), config).run();
-            let name = backend.as_str();
-            assert_eq!(out.stdout, interp.stdout, "{name} stdout divergence");
-            assert_eq!(out.reason, interp.reason, "{name} stop-reason divergence");
-            assert_eq!(out.time, interp.time, "{name} time divergence");
-            assert_eq!(out.steps, interp.steps, "{name} step-count divergence");
-        }
+        // backend must produce the identical observable output.
+        let config = SimConfig {
+            backend: SimBackend::Bytecode,
+            ..SimConfig::default()
+        };
+        let bc = Simulator::with_config(d, config).run();
+        assert_eq!(bc.stdout, interp.stdout, "backend stdout divergence");
+        assert_eq!(bc.reason, interp.reason, "backend stop-reason divergence");
+        assert_eq!(bc.time, interp.time, "backend time divergence");
+        assert_eq!(bc.steps, interp.steps, "backend step-count divergence");
         interp
-    }
-
-    #[test]
-    fn netlist_backend_sweeps_synchronous_always() {
-        let src = "module t;\nreg clk;\nreg [7:0] q;\n\
-             always @(posedge clk) q <= q + 8'd1;\n\
-             initial begin\nclk = 0; q = 0;\nrepeat (20) #5 clk = ~clk;\n\
-             $display(\"q=%0d\", q);\n$finish;\nend\nendmodule";
-        let f = parse(src).expect("parse");
-        let d = elaborate_first(&f).expect("elab");
-        let config = SimConfig {
-            backend: SimBackend::Netlist,
-            ..SimConfig::default()
-        };
-        let (out, _, stats) = Simulator::with_config(d, config).run_with_state_stats();
-        assert_eq!(out.stdout, "q=10\n");
-        assert_eq!(stats.netlist_procs, 1, "always block should lower");
-        // 10 posedges, each evaluated as a sweep (the t=0 activation runs
-        // on the VM to reach the park point and is not a posedge wake).
-        assert_eq!(stats.netlist_sweeps, 10, "stats: {stats:?}");
-        assert!(stats.netlist_swept_steps > 0);
-    }
-
-    #[test]
-    fn netlist_backend_sweeps_match_vm_step_accounting() {
-        // A multi-always synchronous design with cross-register reads:
-        // blocking temp, if/else, case. The shared `run` helper has
-        // already proven byte equality; this pins the sweep path on.
-        let src = "module t;\nreg clk;\nreg [7:0] a, b;\nreg [3:0] s;\n\
-             always @(posedge clk) begin\nif (s[0]) a <= a + b;\nelse a <= a - 8'd1;\nend\n\
-             always @(posedge clk) begin\ncase (s)\n4'd0: b <= 8'd7;\ndefault: b <= b ^ a;\nendcase\nend\n\
-             always @(posedge clk) s <= s + 4'd1;\n\
-             initial begin\nclk = 0; a = 0; b = 1; s = 0;\nrepeat (40) #5 clk = ~clk;\n\
-             $display(\"%0d %0d %0d\", a, b, s);\n$finish;\nend\nendmodule";
-        let f = parse(src).expect("parse");
-        let d = elaborate_first(&f).expect("elab");
-        let config = SimConfig {
-            backend: SimBackend::Netlist,
-            ..SimConfig::default()
-        };
-        let (_, _, stats) = Simulator::with_config(d, config).run_with_state_stats();
-        assert_eq!(stats.netlist_procs, 3);
-        assert_eq!(stats.netlist_sweeps, 60, "stats: {stats:?}");
     }
 
     #[test]

@@ -60,7 +60,7 @@ USAGE:
                                           error-severity findings
   vgen lint --problems [--json]           lint every benchmark reference
                                           solution and testbench
-  vgen sim <file.v> [--top M] [--vcd F] [--max-time N] [--sim-backend interp|bytecode|netlist]
+  vgen sim <file.v> [--top M] [--vcd F] [--max-time N] [--sim-backend interp|bytecode]
   vgen synth <file.v>                     synthesize, print netlist summary
   vgen problems                           list the benchmark problems
   vgen prompt <id> [--level L|M|H]        print a problem prompt
@@ -84,7 +84,7 @@ USAGE:
                                           until ^C)
   vgen eval --journal <path> [--resume] [--model NAME] [--tuning ft|pt] [--full]
             [--jobs N] [--shards N] [--no-dedup] [--trace FILE] [--metrics]
-            [--sim-backend interp|bytecode|netlist]
+            [--sim-backend interp|bytecode]
             [--progress auto|always|never]
             [--check-timeout SECS] [--retries N] [--fsync never|every|interval:N]
             [--chaos SPEC] [--chaos-seed N]
@@ -131,11 +131,7 @@ USAGE:
                                           --sim-backend selects the process
                                           execution engine (default:
                                           interp); `bytecode` runs the
-                                          compiled VM and `netlist` adds
-                                          levelized cycle-based sweeps for
-                                          eligible synchronous always
-                                          blocks (falling back to the VM
-                                          elsewhere) — CI holds both
+                                          compiled VM — CI holds it
                                           byte-identical to the interpreter;
                                           --shards N splits the check phase
                                           across N per-shard journals merged
@@ -290,7 +286,7 @@ fn lint_reports_json(linted: &[LintedFile]) -> String {
     }
 }
 
-/// Parses `--sim-backend interp|bytecode|netlist` (defaulting to the
+/// Parses `--sim-backend interp|bytecode` (defaulting to the
 /// interpreter), shared by every command that runs simulations.
 fn parse_sim_backend(rest: &[&String]) -> Result<vgen::sim::SimBackend, String> {
     match flag_value(rest, "--sim-backend") {

@@ -1,6 +1,5 @@
-//! Backend parity: the bytecode VM and the levelized netlist backend must
-//! be observationally identical to the tree-walking interpreter on
-//! *arbitrary* elaborated designs — same stdout, same stop reason, same
+//! Backend parity: the bytecode VM must be observationally identical to
+//! the tree-walking interpreter on *arbitrary* elaborated designs — same stdout, same stop reason, same
 //! final simulation time, same step count, same VCD text, and the same
 //! final value of every signal and memory word.
 //!
@@ -11,11 +10,9 @@
 //! never terminate on their own — which is the point, because the
 //! budget/cancel classification must also match exactly (step-for-step)
 //! across backends. The second emits multi-always *synchronous* designs —
-//! several `always @(posedge clk)` processes over a shared clock — aimed
-//! squarely at the netlist-eligible subset, with an anti-vacuousness guard
-//! asserting that a minimum fraction of those cases really take the
-//! levelized path (otherwise the netlist rows of the parity matrix would
-//! silently degenerate into bytecode-vs-bytecode).
+//! several `always @(posedge clk)` processes over a shared clock with
+//! cross-process register reads, so non-blocking commits and same-edge
+//! wake ordering are exercised densely.
 
 use std::time::Duration;
 
@@ -24,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use vgen::obs::CancelToken;
-use vgen::sim::{SimBackend, SimConfig, SimOutput, SimStats, Simulator, State};
+use vgen::sim::{SimBackend, SimConfig, SimOutput, Simulator, State};
 
 // --------------------------------------------------- random source synthesis
 
@@ -168,15 +165,14 @@ fn gen_module(seed: u64) -> String {
 // ------------------------------------------- synchronous design synthesis
 
 /// Registers available to synchronous process `p` (its own bank plus a
-/// neighbour's, so cones read across processes).
+/// neighbour's, so processes read each other's registers).
 fn sync_reg(rng: &mut StdRng, procs: usize) -> String {
     let p = rng.gen_range(0..procs);
     format!("r{}_{}", p, rng.gen_range(0..3))
 }
 
-/// Side-effect-free expression over registers and constants: the operator
-/// set the netlist lowering supports (no div/rem, no x literals), so the
-/// sampled cones stay inside the eligible subset by construction.
+/// Side-effect-free expression over registers and constants (no div/rem,
+/// no x literals), so every sampled design stays synthesizable.
 fn gen_sync_expr(rng: &mut StdRng, procs: usize, depth: u32) -> String {
     if depth == 0 || rng.gen_range(0u32..3) == 0 {
         return match rng.gen_range(0u32..3) {
@@ -242,8 +238,7 @@ fn gen_sync_stmt(rng: &mut StdRng, p: usize, procs: usize, depth: u32) -> String
 
 /// A multi-always synchronous testbench: 2–4 `always @(posedge clk)`
 /// processes over a shared clock, zero-initialized registers, and a
-/// deterministic `$finish`. Everything inside the clocked bodies is
-/// netlist-eligible by construction.
+/// deterministic `$finish`.
 fn gen_sync_module(seed: u64) -> String {
     let mut rng = StdRng::seed_from_u64(seed);
     let procs = rng.gen_range(2usize..5);
@@ -283,7 +278,7 @@ fn run_backend(
     src: &str,
     backend: SimBackend,
     cancel: Option<&CancelToken>,
-) -> Option<(SimOutput, State, SimStats)> {
+) -> Option<(SimOutput, State)> {
     let file = vgen::verilog::parse(src).ok()?;
     let design = vgen::sim::elab::elaborate(&file, "fuzz").ok()?;
     let config = SimConfig::default()
@@ -294,55 +289,33 @@ fn run_backend(
     if let Some(c) = cancel {
         sim = sim.cancelled_by(c.clone());
     }
-    Some(sim.run_with_state_stats())
+    Some(sim.run_with_state())
 }
 
-/// Asserts full observational equality of the bytecode VM and the netlist
-/// backend against the interpreter's run.
+/// Asserts full observational equality of the bytecode VM against the
+/// interpreter's run.
 fn assert_parity(src: &str, cancel: Option<&CancelToken>) -> Result<(), TestCaseError> {
     let interp = run_backend(src, SimBackend::Interp, cancel);
-    for backend in [SimBackend::Bytecode, SimBackend::Netlist] {
-        let other = run_backend(src, backend, cancel);
-        match (&interp, other) {
-            (None, None) => {}
-            (Some((io, is, _)), Some((bo, bs, _))) => {
-                let tag = backend.as_str();
-                prop_assert_eq!(&io.stdout, &bo.stdout, "{} stdout diverged\n{}", tag, src);
-                prop_assert_eq!(
-                    io.reason,
-                    bo.reason,
-                    "{} stop reason diverged\n{}",
-                    tag,
-                    src
-                );
-                prop_assert_eq!(io.time, bo.time, "{} final time diverged\n{}", tag, src);
-                prop_assert_eq!(io.steps, bo.steps, "{} sim.steps diverged\n{}", tag, src);
-                prop_assert_eq!(&io.vcd, &bo.vcd, "{} VCD diverged\n{}", tag, src);
-                prop_assert_eq!(
-                    &is.signals,
-                    &bs.signals,
-                    "{} signal state diverged\n{}",
-                    tag,
-                    src
-                );
-                prop_assert_eq!(
-                    &is.memories,
-                    &bs.memories,
-                    "{} memory state diverged\n{}",
-                    tag,
-                    src
-                );
-                prop_assert_eq!(is.time, bs.time, "{} state time diverged\n{}", tag, src);
-            }
-            (i, b) => {
-                return Err(TestCaseError::Fail(format!(
-                    "front-end disagreement: interp ran: {}, {} ran: {}\n{}",
-                    i.is_some(),
-                    backend.as_str(),
-                    b.is_some(),
-                    src
-                )))
-            }
+    let bytecode = run_backend(src, SimBackend::Bytecode, cancel);
+    match (interp, bytecode) {
+        (None, None) => {}
+        (Some((io, is)), Some((bo, bs))) => {
+            prop_assert_eq!(&io.stdout, &bo.stdout, "stdout diverged\n{}", src);
+            prop_assert_eq!(io.reason, bo.reason, "stop reason diverged\n{}", src);
+            prop_assert_eq!(io.time, bo.time, "final time diverged\n{}", src);
+            prop_assert_eq!(io.steps, bo.steps, "sim.steps diverged\n{}", src);
+            prop_assert_eq!(&io.vcd, &bo.vcd, "VCD diverged\n{}", src);
+            prop_assert_eq!(&is.signals, &bs.signals, "signal state diverged\n{}", src);
+            prop_assert_eq!(&is.memories, &bs.memories, "memory state diverged\n{}", src);
+            prop_assert_eq!(is.time, bs.time, "state time diverged\n{}", src);
+        }
+        (i, b) => {
+            return Err(TestCaseError::Fail(format!(
+                "front-end disagreement: interp ran: {}, bytecode ran: {}\n{}",
+                i.is_some(),
+                b.is_some(),
+                src
+            )))
         }
     }
     Ok(())
@@ -365,36 +338,6 @@ fn generator_mostly_produces_runnable_designs() {
     );
 }
 
-/// Anti-vacuousness for the synchronous rows of the matrix: a healthy
-/// majority of sampled synchronous designs must actually lower at least one
-/// process to the levelized path *and* sweep it, so the netlist parity
-/// property above cannot silently degenerate into bytecode-vs-bytecode.
-#[test]
-fn synchronous_generator_mostly_takes_netlist_path() {
-    const SEEDS: u64 = 100;
-    let mut ran = 0usize;
-    let mut levelized = 0usize;
-    for seed in 0..SEEDS {
-        let src = gen_sync_module(seed);
-        let Some((_, _, stats)) = run_backend(&src, SimBackend::Netlist, None) else {
-            continue;
-        };
-        ran += 1;
-        if stats.netlist_procs > 0 && stats.netlist_sweeps > 0 {
-            levelized += 1;
-        }
-    }
-    assert!(
-        ran >= 90,
-        "only {ran}/{SEEDS} synchronous designs elaborate and run"
-    );
-    assert!(
-        levelized * 10 >= ran * 7,
-        "only {levelized}/{ran} synchronous designs took the netlist path — \
-         the parity fuzz is going vacuous"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -404,14 +347,14 @@ proptest! {
         assert_parity(&gen_module(seed), None)?;
     }
 
-    /// The netlist-eligible subset, hit deliberately: multi-always
-    /// synchronous designs where the levelized path does the work.
+    /// Multi-always synchronous designs: dense non-blocking commits and
+    /// same-edge wakes across processes.
     #[test]
     fn backends_agree_on_synchronous_modules(seed in any::<u64>()) {
         assert_parity(&gen_sync_module(seed), None)?;
     }
 
-    /// Under an already-expired deadline all backends must classify the
+    /// Under an already-expired deadline both backends must classify the
     /// run as a soft timeout at the same poll boundary — cancellation is
     /// part of the observable contract, not an escape hatch from it.
     #[test]
@@ -420,8 +363,8 @@ proptest! {
         assert_parity(&gen_module(seed), Some(&cancel))?;
     }
 
-    /// Cancellation on the synchronous subset: the netlist backend's poll
-    /// windows must land on the same boundaries as the VM's.
+    /// Cancellation on the synchronous designs: the VM's poll boundaries
+    /// must land on the same step as the interpreter's.
     #[test]
     fn backends_agree_on_synchronous_modules_under_expired_deadline(seed in any::<u64>()) {
         let cancel = CancelToken::with_deadline(Duration::ZERO);

@@ -287,6 +287,27 @@ fn eval_grid_rejects_bad_jobs() {
 }
 
 #[test]
+fn eval_rejects_unknown_sim_backend() {
+    let dir = std::env::temp_dir().join("vgen-cli-tests").join("backend");
+    std::fs::create_dir_all(&dir).expect("create sweep dir");
+    let journal = dir.join("sweep.log");
+    let _ = std::fs::remove_file(&journal);
+    let out = vgen()
+        .args(["eval", "--journal", "sweep.log", "--sim-backend", "netlist"])
+        .current_dir(&dir)
+        .output()
+        .expect("run");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown sim backend"), "stderr: {stderr}");
+    assert!(stderr.contains("`interp`") && stderr.contains("`bytecode`"));
+    assert!(
+        !journal.exists(),
+        "a rejected sweep must not start a journal"
+    );
+}
+
+#[test]
 fn prompt_prints_problem_text() {
     let out = vgen()
         .args(["prompt", "15", "--level", "H"])
