@@ -5,8 +5,12 @@
 use vgen_lint::{LintReport, Rule};
 use vgen_obs::CancelToken;
 use vgen_problems::{Problem, PromptLevel, PASS_MARKER};
-use vgen_sim::{SimConfig, StopReason};
+use vgen_sim::elab::elaborate_files;
+use vgen_sim::{SimConfig, Simulator, StopReason};
+use vgen_verilog::lexer::tokenize;
+use vgen_verilog::parser::MAX_TOKENS;
 use vgen_verilog::truncate::{assemble_candidate, truncate_completion};
+use vgen_verilog::{ParseError, SourceFile, Span};
 
 /// How a check's wall-clock deadline was enforced when it fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,7 +331,7 @@ pub fn check_source_cancellable(
 fn check_parsed(
     problem: &Problem,
     source: &str,
-    file: &vgen_verilog::ast::SourceFile,
+    file: &SourceFile,
     config: SimConfig,
     cancel: &CancelToken,
 ) -> CheckOutcome {
@@ -342,29 +346,52 @@ fn check_parsed(
         Err(e) => return CheckOutcome::CompileFail(e.to_string()),
         Ok(_) => {}
     }
-    // Functional check: simulate DUT + testbench.
-    let full = format!("{source}\n{}", problem.testbench);
-    match vgen_sim::simulate_with_cancel(&full, Some("tb"), config, cancel) {
-        Ok(out) => {
-            if !out.reason.is_clean() {
-                return match out.reason {
-                    StopReason::Cancelled => CheckOutcome::Timeout(TimeoutKind::Soft),
-                    StopReason::RuntimeError(m) => CheckOutcome::SimulationFail(m),
-                    other => CheckOutcome::SimulationFail(format!("{other:?}")),
-                };
-            }
-            if out.stdout.contains(PASS_MARKER) {
-                CheckOutcome::Pass
-            } else {
-                CheckOutcome::FunctionalFail
-            }
-        }
-        Err(vgen_sim::SimError::Parse(e)) if e.cancelled => {
-            CheckOutcome::Timeout(TimeoutKind::Soft)
-        }
-        Err(vgen_sim::SimError::Elab(e)) if e.cancelled => CheckOutcome::Timeout(TimeoutKind::Soft),
-        Err(e) => CheckOutcome::CompileFail(e.to_string()),
+    // Functional check: simulate DUT + testbench, elaborated from the two
+    // ASTs as if their texts were one file.
+    if let Some(e) = combined_token_overflow(problem, source) {
+        return CheckOutcome::CompileFail(vgen_sim::SimError::Parse(e).to_string());
     }
+    let design = match elaborate_files(&[file, problem.testbench_ast()], "tb", cancel) {
+        Ok(d) => d,
+        Err(e) if e.cancelled => return CheckOutcome::Timeout(TimeoutKind::Soft),
+        Err(e) => return CheckOutcome::CompileFail(vgen_sim::SimError::Elab(e).to_string()),
+    };
+    let out = Simulator::with_config(design, config)
+        .cancelled_by(cancel.clone())
+        .run();
+    if !out.reason.is_clean() {
+        return match out.reason {
+            StopReason::Cancelled => CheckOutcome::Timeout(TimeoutKind::Soft),
+            StopReason::RuntimeError(m) => CheckOutcome::SimulationFail(m),
+            other => CheckOutcome::SimulationFail(format!("{other:?}")),
+        };
+    }
+    if out.stdout.contains(PASS_MARKER) {
+        CheckOutcome::Pass
+    } else {
+        CheckOutcome::FunctionalFail
+    }
+}
+
+/// The token-cap error the DUT and testbench texts would hit as one file
+/// (`{source}\n{testbench}`), which is how the functional check is
+/// defined. A DUT just under [`MAX_TOKENS`] can push the pair over it.
+/// Tokens are at least one byte each, so only sources within a
+/// testbench's length of the cap are lexed again.
+fn combined_token_overflow(problem: &Problem, source: &str) -> Option<ParseError> {
+    let tb = problem.testbench;
+    if source.len() + 1 + tb.len() <= MAX_TOKENS {
+        return None;
+    }
+    let (dut_tokens, tb_tokens) = (tokenize(source).ok()?, tokenize(tb).ok()?);
+    // The DUT's own Eof token is not part of the combined stream.
+    let at = MAX_TOKENS.checked_sub(dut_tokens.len() - 1)?;
+    let token = tb_tokens.get(at)?;
+    let offset = (source.len() + 1) as u32;
+    Some(ParseError::new(
+        format!("input exceeds {MAX_TOKENS} tokens"),
+        Span::new(token.span.start + offset, token.span.end + offset),
+    ))
 }
 
 #[cfg(test)]

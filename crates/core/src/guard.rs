@@ -31,6 +31,13 @@
 //!      before the record is finalized. Panics are deterministic and are
 //!      never retried.
 //!
+//! Without a deadline there is nothing to watch or detach, so a check on a
+//! *checker thread* — one started by [`spawn_checker`] with the checker's
+//! stack, as pool workers, the serial sweep loop and the daemon's request
+//! threads are — runs inline under [`catch_harness_fault`]. Only checks
+//! with a deadline, or from other threads, get a thread of their own
+//! (counted by the `guard.spawn` obs counter).
+//!
 //! While a guarded check is running, the default "thread panicked at ..."
 //! report is suppressed (per thread) so sweeps don't spray backtraces; the
 //! panic message is preserved in the outcome instead.
@@ -51,6 +58,9 @@ use crate::check::{check_completion_cancellable, CheckOutcome, CheckResult, Time
 thread_local! {
     /// Set while a guarded closure runs on this thread.
     static QUIET: Cell<bool> = const { Cell::new(false) };
+    /// Set on threads started by [`spawn_checker`]: they have the
+    /// checker's stack, so deadline-free checks run on them inline.
+    static CHECKER: Cell<bool> = const { Cell::new(false) };
 }
 
 static INSTALL_HOOK: Once = Once::new();
@@ -75,9 +85,11 @@ fn install_quiet_hook() {
 /// (the `panic!` message, when it is a string) is returned instead.
 pub fn catch_harness_fault<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     install_quiet_hook();
-    QUIET.with(|q| q.set(true));
+    // Guards nest (a pool task runs an inline check), so restore rather
+    // than clear.
+    let outer = QUIET.with(|q| q.replace(true));
     let result = panic::catch_unwind(AssertUnwindSafe(f));
-    QUIET.with(|q| q.set(false));
+    QUIET.with(|q| q.set(outer));
     result.map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
@@ -89,10 +101,66 @@ pub fn catch_harness_fault<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
-/// Stack size for the dedicated checker thread. The parser's recursion
-/// guard ([`vgen_verilog::parser::MAX_NEST_DEPTH`]) is sized so the worst
-/// legal nesting fits in a fraction of this even in unoptimised builds.
+/// Stack size for checker threads. The parser's recursion guard
+/// ([`vgen_verilog::parser::MAX_NEST_DEPTH`]) is sized so the worst legal
+/// nesting fits in a fraction of this even in unoptimised builds.
 const CHECK_STACK_BYTES: usize = 8 * 1024 * 1024;
+
+/// A thread builder with the checker's name and stack.
+fn checker_builder(name: String) -> std::thread::Builder {
+    std::thread::Builder::new()
+        .name(name)
+        .stack_size(CHECK_STACK_BYTES)
+}
+
+/// Runs `f` with the current thread marked as a checker.
+fn as_checker<T>(f: impl FnOnce() -> T) -> T {
+    CHECKER.with(|c| c.set(true));
+    f()
+}
+
+/// Whether the current thread was started by [`spawn_checker`] (or is
+/// running [`run_on_checker`]'s closure).
+fn is_checker_thread() -> bool {
+    CHECKER.with(|c| c.get())
+}
+
+/// Spawns a long-lived thread with the checker's [8 MiB
+/// stack](CHECK_STACK_BYTES), marked so that deadline-free checks run on
+/// it inline instead of on a thread of their own. Pool workers and the
+/// daemon's request threads are started this way.
+///
+/// # Errors
+///
+/// As [`std::thread::Builder::spawn`].
+pub fn spawn_checker<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::io::Result<std::thread::JoinHandle<T>> {
+    checker_builder(name).spawn(move || as_checker(f))
+}
+
+/// Runs `f` on a checker thread and returns its result: inline when the
+/// current thread already is one, else on a scoped thread started and
+/// joined here (the serial sweep runs its whole check loop this way, on
+/// the caller's obs lane). A panic in `f` resumes on the caller.
+pub(crate) fn run_on_checker<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    if is_checker_thread() {
+        return f();
+    }
+    let lane = vgen_obs::current_lane();
+    std::thread::scope(|scope| {
+        let handle = checker_builder("vgen-check".into())
+            .spawn_scoped(scope, move || {
+                vgen_obs::adopt_lane(lane);
+                let out = as_checker(f);
+                vgen_obs::flush();
+                out
+            })
+            .expect("spawn checker thread");
+        handle.join().unwrap_or_else(|e| panic::resume_unwind(e))
+    })
+}
 
 /// How one check is supervised: deadline, grace period, retry budget and
 /// fault injection. The [`Default`] policy has no deadline and no chaos —
@@ -150,9 +218,10 @@ impl CheckPolicy {
 
 /// [`check_completion`](crate::check::check_completion) with fault
 /// isolation and the default (deadline-less) [`CheckPolicy`]: the check
-/// runs on a dedicated thread with a known [8 MiB
-/// stack](CHECK_STACK_BYTES) — so classification never depends on how much
-/// stack the *caller* happens to have left — and a panic anywhere in the
+/// runs on a thread with a known [8 MiB stack](CHECK_STACK_BYTES) — the
+/// calling thread when [`spawn_checker`] started it, else a dedicated one
+/// — so classification never depends on how much stack an arbitrary
+/// caller happens to have left, and a panic anywhere in the
 /// assemble/parse/elaborate/simulate stack yields
 /// [`CheckOutcome::HarnessFault`] instead of unwinding into the caller.
 ///
@@ -210,8 +279,10 @@ pub fn supervised_check_completion(
     }
 }
 
-/// One supervised attempt: spawn a detachable checker thread, wait for its
-/// result up to deadline + grace, classify.
+/// One supervised attempt. Without a deadline, on a checker thread (see
+/// [`spawn_checker`]), the check runs inline. Otherwise it runs on a
+/// detachable thread of its own, and the result is awaited up to
+/// deadline + grace and classified.
 fn attempt_check(
     problem: &'static Problem,
     level: PromptLevel,
@@ -231,61 +302,101 @@ fn attempt_check(
         return no_verdict(CheckOutcome::Timeout(TimeoutKind::Soft));
     }
 
+    if policy.timeout.is_none() && is_checker_thread() {
+        let unlimited = CancelToken::unlimited();
+        verdict(run_check(
+            problem,
+            level,
+            completion,
+            config,
+            &policy.chaos,
+            &unlimited,
+        ))
+    } else {
+        spawn_attempt(problem, level, completion, config, policy)
+    }
+}
+
+/// The record of a finished attempt: its result, or a harness fault.
+fn verdict(caught: Result<CheckResult, String>) -> CheckResult {
+    caught.unwrap_or_else(|msg| {
+        vgen_obs::counter_add("guard.fault", 1);
+        no_verdict(CheckOutcome::HarnessFault(msg))
+    })
+}
+
+/// The check proper, with the checker-panic and checker-delay chaos sites,
+/// under [`catch_harness_fault`].
+fn run_check(
+    problem: &Problem,
+    level: PromptLevel,
+    completion: &str,
+    config: SimConfig,
+    chaos: &ChaosSpec,
+    cancel: &CancelToken,
+) -> Result<CheckResult, String> {
+    let caught = catch_harness_fault(|| {
+        if chaos
+            .fires(ChaosSite::CheckPanic, completion.as_bytes())
+            .is_some()
+        {
+            panic!("chaos: injected checker panic");
+        }
+        if let Some(ms) = chaos.fires(ChaosSite::CheckDelayMs, completion.as_bytes()) {
+            // A real, uncancellable stall — exercises the hard-timeout
+            // detach path.
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        check_completion_cancellable(problem, level, completion, config, cancel)
+    });
+    // Flush this thread's obs buffers *now*, not at thread exit: after a
+    // hard timeout the supervisor has already detached a per-attempt
+    // thread, and exit may come after the session's collect() — flushing
+    // at the cancel point keeps the partial stage spans a hard-timed-out
+    // check did complete.
+    vgen_obs::flush();
+    caught
+}
+
+/// Runs one attempt on a detachable thread of its own and waits for it:
+/// forever without a deadline, else up to deadline + grace.
+fn spawn_attempt(
+    problem: &'static Problem,
+    level: PromptLevel,
+    completion: &str,
+    config: SimConfig,
+    policy: &CheckPolicy,
+) -> CheckResult {
     let cancel = match policy.timeout {
         Some(t) => CancelToken::with_deadline(t),
         None => CancelToken::unlimited(),
     };
 
-    // The ephemeral checker thread records onto the spawning worker's obs
-    // lane, so a sweep's trace shows one timeline per worker rather than
-    // one per check.
+    // The per-attempt thread records onto the spawning thread's obs lane,
+    // so a sweep's trace shows one timeline per worker rather than one
+    // per check.
     let lane = vgen_obs::current_lane();
     let chaos = policy.chaos.clone();
     let owned = completion.to_string();
     let thread_cancel = cancel.clone();
     let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name("vgen-check".into())
-        .stack_size(CHECK_STACK_BYTES)
-        .spawn(move || {
-            vgen_obs::adopt_lane(lane);
-            let caught = catch_harness_fault(|| {
-                if chaos
-                    .fires(ChaosSite::CheckPanic, owned.as_bytes())
-                    .is_some()
-                {
-                    panic!("chaos: injected checker panic");
-                }
-                if let Some(ms) = chaos.fires(ChaosSite::CheckDelayMs, owned.as_bytes()) {
-                    // A real, uncancellable stall — exercises the hard-
-                    // timeout detach path.
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                check_completion_cancellable(problem, level, &owned, config, &thread_cancel)
-            });
-            // Flush this thread's obs buffers *now*, not at thread exit:
-            // after a hard timeout the supervisor has already detached us,
-            // and exit may come after the session's collect() — flushing
-            // at the cancel point keeps the partial stage spans a
-            // hard-timed-out check did complete.
-            vgen_obs::flush();
-            let _ = tx.send(caught);
-        });
+    let spawned = checker_builder("vgen-check".into()).spawn(move || {
+        vgen_obs::adopt_lane(lane);
+        let caught = run_check(problem, level, &owned, config, &chaos, &thread_cancel);
+        let _ = tx.send(caught);
+    });
     let handle = match spawned {
         Ok(h) => h,
-        Err(e) => {
-            vgen_obs::counter_add("guard.fault", 1);
-            return no_verdict(CheckOutcome::HarnessFault(format!(
-                "cannot spawn checker thread: {e}"
-            )));
-        }
+        Err(e) => return verdict(Err(format!("cannot spawn checker thread: {e}"))),
     };
+    vgen_obs::counter_add("guard.spawn", 1);
 
     let caught = match policy.timeout {
-        // Unsupervised: block until the check finishes (as before PR 6).
-        None => rx.recv().map_err(|_| "checker thread died".to_string()),
+        None => rx
+            .recv()
+            .unwrap_or_else(|_| Err("checker thread died".to_string())),
         Some(t) => match rx.recv_timeout(t + policy.grace) {
-            Ok(c) => Ok(c),
+            Ok(c) => c,
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 // Hard hang: the deadline armed the token at `t`, the
                 // grace period passed, and the checker never reached a
@@ -305,13 +416,7 @@ fn attempt_check(
     };
     // The result is in hand, so the thread is exiting; reap it.
     let _ = handle.join();
-    match caught {
-        Ok(Ok(r)) => r,
-        Ok(Err(msg)) | Err(msg) => {
-            vgen_obs::counter_add("guard.fault", 1);
-            no_verdict(CheckOutcome::HarnessFault(msg))
-        }
-    }
+    verdict(caught)
 }
 
 /// A [`CheckResult`] for outcomes that never produced a candidate verdict
@@ -368,6 +473,54 @@ mod tests {
             assert!(catch_harness_fault(|| -> u32 { panic!("again") }).is_err());
             assert_eq!(catch_harness_fault(|| 1), Ok(1));
         }
+    }
+
+    #[test]
+    fn inline_and_spawned_attempts_agree() {
+        let run_all = || -> Vec<CheckResult> {
+            let panicky = ChaosSpec::parse("check.panic%2", 3).unwrap();
+            let policies = [
+                CheckPolicy::default(),
+                CheckPolicy::default().with_chaos(panicky),
+            ];
+            let bodies = [
+                "assign y = a & b;\nendmodule",
+                "assign y = a | b;",
+                "endmodule",
+            ];
+            policies
+                .iter()
+                .flat_map(|policy| {
+                    bodies.iter().map(move |body| {
+                        let config = SimConfig::default();
+                        supervised_check_completion(p(), PromptLevel::Low, body, config, policy)
+                    })
+                })
+                .collect()
+        };
+        // This test thread is not a checker: every attempt is spawned.
+        assert!(!is_checker_thread());
+        let spawned = run_all();
+        let inline = spawn_checker("vgen-test-checker".into(), move || {
+            assert!(is_checker_thread());
+            run_all()
+        })
+        .expect("spawn")
+        .join()
+        .expect("checker thread");
+        assert_eq!(inline, spawned);
+        assert!(spawned
+            .iter()
+            .any(|r| matches!(r.outcome, CheckOutcome::HarnessFault(_))));
+    }
+
+    #[test]
+    fn run_on_checker_marks_only_its_closure_and_resumes_panics() {
+        assert!(!is_checker_thread());
+        assert!(run_on_checker(is_checker_thread));
+        assert!(!is_checker_thread());
+        let caught = catch_harness_fault(|| run_on_checker(|| panic!("checker loop died")));
+        assert_eq!(caught, Err("checker loop died".to_string()));
     }
 
     #[test]

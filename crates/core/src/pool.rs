@@ -17,6 +17,10 @@
 //!   shutdown notify it. Waits use a timeout so a steal opportunity that
 //!   arises without a submission (a sibling refilling its deque) is never
 //!   missed for long.
+//! * **Checker workers** — workers are started by
+//!   [`spawn_checker`](crate::guard::spawn_checker), with the checker's
+//!   stack, so a deadline-free check runs on the worker itself rather
+//!   than on a thread spawned per check.
 //! * **Panic isolation** — each task runs under
 //!   [`catch_harness_fault`](crate::guard::catch_harness_fault), the same
 //!   machinery that guards individual checks, so a panicking task yields
@@ -35,7 +39,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::guard::catch_harness_fault;
+use crate::guard::{catch_harness_fault, spawn_checker};
 
 /// A unit of work: produces an `R`, tagged with its submission index.
 type Task<R> = Box<dyn FnOnce() -> R + Send + 'static>;
@@ -108,10 +112,10 @@ impl<R: Send + 'static> WorkerPool<R> {
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 let tx: Sender<(usize, Result<R, String>)> = tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("vgen-pool-{id}"))
-                    .spawn(move || worker_loop(id, &shared, &tx))
-                    .expect("spawn pool worker")
+                spawn_checker(format!("vgen-pool-{id}"), move || {
+                    worker_loop(id, &shared, &tx)
+                })
+                .expect("spawn pool worker")
             })
             .collect();
         WorkerPool {

@@ -13,14 +13,18 @@
 //! A sweep runs in two phases (see DESIGN.md, "Parallel execution
 //! model"):
 //!
-//! 1. **Generate** (always serial, on the calling thread): the grid is
+//! 1. **Generate** (on the calling thread): the engine is first asked to
+//!    [`prepare`](CompletionEngine::prepare) for the grid's problems on up
+//!    to `jobs` threads (the family engine builds its candidate banks
+//!    there, a pure function of problem and seed). Then the grid is
 //!    walked in canonical order and the engine is queried for every cell,
 //!    flattening the scenario×temperature×completion grid into a vector
 //!    of independent work items. Serial generation keeps the engine's RNG
 //!    stream identical across worker counts and across fresh vs resumed
 //!    runs.
 //! 2. **Check** (serial or parallel): each work item is one
-//!    compile+simulate check. With `jobs > 1`
+//!    compile+simulate check. With `jobs = 1` the check loop runs on one
+//!    [checker thread](crate::guard::run_on_checker). With `jobs > 1`
 //!    ([`SweepOptions::jobs`]) items are dispatched to a
 //!    [`WorkerPool`](crate::pool::WorkerPool) and results flow through a
 //!    [`ReorderBuffer`](crate::pool::ReorderBuffer) back into canonical
@@ -45,7 +49,7 @@ use vgen_lint::Rule;
 
 use crate::chaos::{ChaosSite, ChaosSpec};
 use crate::check::{FaultKind, LintCounts};
-use crate::guard::{supervised_check_completion, CheckPolicy};
+use crate::guard::{run_on_checker, supervised_check_completion, CheckPolicy};
 use crate::metrics::Tally;
 use crate::pool::{ReorderBuffer, WorkerPool};
 
@@ -733,11 +737,14 @@ impl SweepStats {
 /// cell — even cells whose records will be reused from a journal — so the
 /// engine's RNG stream is identical across a fresh run and a resumed one,
 /// and across worker counts.
-fn generate_items(engine: &mut dyn CompletionEngine, config: &EvalConfig) -> Vec<WorkItem> {
+fn generate_items(
+    engine: &mut dyn CompletionEngine,
+    config: &EvalConfig,
+    problems: &[&'static Problem],
+) -> Vec<WorkItem> {
     let mut items = Vec::new();
     let mut pos = 0usize;
-    for &pid in &config.problem_ids {
-        let prob = problem(pid).unwrap_or_else(|| panic!("unknown problem id {pid}"));
+    for &prob in problems {
         for &level in &config.levels {
             for &t in &config.temperatures {
                 for &n in &config.ns {
@@ -1294,7 +1301,13 @@ pub fn run_engine_sweep_sharded(
         ));
     }
 
-    let mut items = generate_items(engine, config);
+    let problems: Vec<&'static Problem> = config
+        .problem_ids
+        .iter()
+        .map(|&pid| problem(pid).unwrap_or_else(|| panic!("unknown problem id {pid}")))
+        .collect();
+    engine.prepare(&problems, opts.effective_jobs());
+    let mut items = generate_items(engine, config, &problems);
     if !shard.is_single() {
         // The full grid was generated (above) to keep the engine RNG
         // stream shard-independent; this shard only checks what it owns.
@@ -1327,46 +1340,49 @@ pub fn run_engine_sweep_sharded(
     let mut interrupted = false;
 
     if jobs <= 1 {
-        // Serial path: check inline, in canonical order, consulting the
-        // cache before each check.
-        let mut cache: HashMap<(u64, u64), CachedCheck> = HashMap::new();
-        for item in items.into_iter().skip(done_prior) {
-            if hooks.cancelled() {
-                interrupted = true;
-                break;
-            }
-            let key = dedup_key(&item);
-            let cached = if use_cache {
-                cache.get(&key).cloned()
-            } else {
-                None
-            };
-            let rec = match cached {
-                Some(hit) => {
-                    stats.cache_hits += 1;
-                    vgen_obs::counter_add("dedup.hit", 1);
-                    hit.replay(item.meta())
+        // Serial path: check in canonical order, consulting the cache
+        // before each check, all on one checker thread (so no check
+        // spawns a thread of its own).
+        interrupted = run_on_checker(|| {
+            let mut cache: HashMap<(u64, u64), CachedCheck> = HashMap::new();
+            for item in items.into_iter().skip(done_prior) {
+                if hooks.cancelled() {
+                    return true;
                 }
-                None => {
-                    let rec = if task_panic_fires(&opts.policy.chaos, item.pos) {
-                        item.meta().fault_record(FaultKind::Panic)
-                    } else {
-                        check_item(&item, config.sim, &opts.policy)
-                    };
-                    stats.checks_run += 1;
-                    if use_cache {
-                        cache.insert(key, CachedCheck::of(&rec));
+                let key = dedup_key(&item);
+                let cached = if use_cache {
+                    cache.get(&key).cloned()
+                } else {
+                    None
+                };
+                let rec = match cached {
+                    Some(hit) => {
+                        stats.cache_hits += 1;
+                        vgen_obs::counter_add("dedup.hit", 1);
+                        hit.replay(item.meta())
                     }
-                    rec
+                    None => {
+                        let rec = if task_panic_fires(&opts.policy.chaos, item.pos) {
+                            item.meta().fault_record(FaultKind::Panic)
+                        } else {
+                            check_item(&item, config.sim, &opts.policy)
+                        };
+                        stats.checks_run += 1;
+                        if use_cache {
+                            cache.insert(key, CachedCheck::of(&rec));
+                        }
+                        rec
+                    }
+                };
+                if let Some(w) = &writer {
+                    w.write(rec.to_journal_line());
                 }
-            };
-            if let Some(w) = &writer {
-                w.write(rec.to_journal_line());
+                hooks.observe(&rec, records.len() + 1, total);
+                records.push(rec);
+                progress.tick();
             }
-            hooks.observe(&rec, records.len() + 1, total);
-            records.push(rec);
-            progress.tick();
-        }
+            false
+        });
     } else {
         // Parallel path: dispatch to the work-stealing pool, merge back
         // into canonical order through the reorder buffer.

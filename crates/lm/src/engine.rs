@@ -40,6 +40,11 @@ pub trait CompletionEngine {
         temperature: f64,
         n: usize,
     ) -> Vec<Completion>;
+
+    /// Does up-front work for a sweep over `problems`, on up to `jobs`
+    /// threads, before its first [`generate`](Self::generate) call. It
+    /// must not change what `generate` returns. The default does nothing.
+    fn prepare(&mut self, _problems: &[&Problem], _jobs: usize) {}
 }
 
 /// The real trainable engine: BPE + n-gram LM + sampling loop.

@@ -24,12 +24,14 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use vgen_corpus::CorpusSource;
 use vgen_problems::{Difficulty, Problem, PromptLevel};
+use vgen_verilog::SourceFile;
 
 use crate::engine::{Completion, CompletionEngine};
 use crate::latency::sample_seconds;
@@ -192,17 +194,25 @@ pub struct MutantBank {
 /// testbench; corrupted texts only if they fail the parser. An empty-body
 /// candidate (outputs left `x`) guarantees the functional pool is never
 /// empty, and a torn-off header guarantees the syntax pool is never empty.
+///
+/// A pure function of its arguments, so banks can be built in any order
+/// and on any thread (see [`FamilyEngine`]'s `prepare`).
 pub fn build_bank(problem: &Problem, seed: u64, per_pool: usize) -> MutantBank {
+    let _span = vgen_obs::span("bank.build");
     let reference = problem.reference_source();
+    // Parsed once per bank and dropped with it: unlike the checker, a
+    // bank builder need not hold every testbench AST for the process's
+    // life (a simulation-only process builds banks for all problems).
+    let testbench = vgen_verilog::parse(problem.testbench).ok();
     let mut functional_fail = vec![problem.assemble("endmodule\n")];
     for (mutant, _) in semantic_mutants(&reference, seed, per_pool * 3) {
         if functional_fail.len() >= per_pool {
             break;
         }
-        if !compiles(&mutant) {
+        let Some(file) = compiled(&mutant) else {
             continue;
-        }
-        if !passes_testbench(&mutant, problem) {
+        };
+        if !passes_testbench(&file, testbench.as_ref()) {
             functional_fail.push(mutant);
         }
     }
@@ -224,16 +234,28 @@ pub fn build_bank(problem: &Problem, seed: u64, per_pool: usize) -> MutantBank {
 
 /// The harness-level compile check: parse plus elaboration of the DUT.
 pub fn compiles(source: &str) -> bool {
-    let Ok(file) = vgen_verilog::parse(source) else {
-        return false;
-    };
-    vgen_sim::elab::elaborate_first(&file).is_ok()
+    compiled(source).is_some()
 }
 
-fn passes_testbench(source: &str, problem: &Problem) -> bool {
-    let src = format!("{source}\n{}", problem.testbench);
-    match vgen_sim::simulate(&src, Some("tb"), vgen_sim::SimConfig::default()) {
-        Ok(out) => out.stdout.contains(vgen_problems::PASS_MARKER),
+/// The parsed DUT when it passes [`compiles`].
+fn compiled(source: &str) -> Option<SourceFile> {
+    let file = vgen_verilog::parse(source).ok()?;
+    vgen_sim::elab::elaborate_first(&file).ok()?;
+    Some(file)
+}
+
+/// Whether a parsed DUT passes a parsed testbench (never, when the
+/// testbench did not parse).
+fn passes_testbench(dut: &SourceFile, testbench: Option<&SourceFile>) -> bool {
+    let Some(tb) = testbench else {
+        return false;
+    };
+    let unlimited = vgen_obs::CancelToken::unlimited();
+    match vgen_sim::elab::elaborate_files(&[dut, tb], "tb", &unlimited) {
+        Ok(design) => vgen_sim::Simulator::with_config(design, vgen_sim::SimConfig::default())
+            .run()
+            .stdout
+            .contains(vgen_problems::PASS_MARKER),
         Err(_) => false,
     }
 }
@@ -303,6 +325,7 @@ impl FamilyEngine {
             .min(self.p_compile(problem.difficulty, t))
     }
 
+    /// The bank for `problem`, built on first use.
     fn bank_for(&mut self, problem: &Problem) -> &MutantBank {
         let seed = self.seed;
         let size = self.bank_size;
@@ -340,7 +363,7 @@ impl CompletionEngine for FamilyEngine {
         let p_functional = self.p_functional(problem, level, temperature, n);
         let model = self.model;
         let mut rng = self.request_rng(problem, level, temperature, n);
-        let bank = self.bank_for(problem).clone();
+        let bank = self.bank_for(problem);
         (0..n)
             .map(|_| {
                 let text = if !rng.gen_bool(p_compile) {
@@ -364,6 +387,47 @@ impl CompletionEngine for FamilyEngine {
                 }
             })
             .collect()
+    }
+
+    /// Builds every missing bank for `problems` on up to `jobs` threads.
+    /// [`build_bank`] is pure, so the banks (and every later `generate`)
+    /// are the same as the lazy build's.
+    fn prepare(&mut self, problems: &[&Problem], jobs: usize) {
+        let mut missing: Vec<&Problem> = Vec::new();
+        for &p in problems {
+            if !self.banks.contains_key(&p.id) && !missing.iter().any(|m| m.id == p.id) {
+                missing.push(p);
+            }
+        }
+        let (seed, size) = (self.seed, self.bank_size);
+        let build = |p: &Problem| (p.id, build_bank(p, seed ^ p.id as u64, size));
+        let workers = jobs.min(missing.len());
+        if workers <= 1 {
+            self.banks.extend(missing.into_iter().map(build));
+            return;
+        }
+        let next = AtomicUsize::new(0);
+        let built: Vec<(u8, MutantBank)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|i| {
+                    std::thread::Builder::new()
+                        .name(format!("vgen-bank-{i}"))
+                        .spawn_scoped(scope, || {
+                            let mut out = Vec::new();
+                            while let Some(&p) = missing.get(next.fetch_add(1, Ordering::Relaxed)) {
+                                out.push(build(p));
+                            }
+                            out
+                        })
+                        .expect("spawn bank builder")
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
+        self.banks.extend(built);
     }
 }
 
@@ -420,16 +484,48 @@ mod tests {
         assert!(!bank.correct.is_empty());
         assert!(!bank.functional_fail.is_empty());
         assert!(!bank.syntax_fail.is_empty());
+        let tb = vgen_verilog::parse(p.testbench).ok();
         for c in &bank.correct {
-            assert!(compiles(c));
-            assert!(passes_testbench(c, p));
+            let file = compiled(c).expect("correct solution compiles");
+            assert!(passes_testbench(&file, tb.as_ref()));
         }
         for f in &bank.functional_fail {
-            assert!(compiles(f), "functional-fail mutant must compile:\n{f}");
-            assert!(!passes_testbench(f, p));
+            let file = compiled(f);
+            assert!(file.is_some(), "functional-fail mutant must compile:\n{f}");
+            assert!(!passes_testbench(&file.unwrap(), tb.as_ref()));
         }
         for s in &bank.syntax_fail {
             assert!(!compiles(s));
+        }
+    }
+
+    #[test]
+    fn prepared_banks_equal_lazy_banks() {
+        let ps: Vec<&Problem> = problems().iter().take(6).collect();
+        // Duplicates and an already-built bank are skipped, not rebuilt.
+        let mut asked = ps.clone();
+        asked.push(ps[0]);
+        for jobs in [1, 4] {
+            let mut engine = FamilyEngine::new(cg16_ft(), CorpusSource::GithubOnly, 42);
+            engine.bank_for(ps[2]);
+            engine.prepare(&asked, jobs);
+            assert_eq!(engine.banks.len(), ps.len());
+            for p in &ps {
+                let lazy = build_bank(p, 42 ^ p.id as u64, 10);
+                let built = &engine.banks[&p.id];
+                assert_eq!(built.correct, lazy.correct, "jobs {jobs}, problem {}", p.id);
+                assert_eq!(built.functional_fail, lazy.functional_fail);
+                assert_eq!(built.syntax_fail, lazy.syntax_fail);
+            }
+        }
+        // And generation after `prepare` matches generation without it.
+        let mut lazy = FamilyEngine::new(cg16_ft(), CorpusSource::GithubOnly, 42);
+        let mut prepared = FamilyEngine::new(cg16_ft(), CorpusSource::GithubOnly, 42);
+        prepared.prepare(&ps, 2);
+        for p in &ps {
+            let a = lazy.generate(p, PromptLevel::Low, 0.5, 10);
+            let b = prepared.generate(p, PromptLevel::Low, 0.5, 10);
+            assert_eq!(a, b, "problem {}", p.id);
         }
     }
 

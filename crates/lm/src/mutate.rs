@@ -46,20 +46,36 @@ impl SemanticOp {
 /// applicable site.
 pub fn semantic_mutate(src: &str, rng: &mut StdRng) -> Option<(String, SemanticOp)> {
     let file = vgen_verilog::parse(src).ok()?;
+    mutate_parsed(&file, &site_counts(&file), rng)
+}
+
+/// Mutation sites per op, in [`SemanticOp::ALL`] order.
+fn site_counts(file: &SourceFile) -> [usize; 5] {
+    SemanticOp::ALL.map(|op| count_sites(file, op))
+}
+
+/// [`semantic_mutate`] on a parsed file whose `sites` are known. The RNG
+/// draws are the shuffle of the ops, then a site and a pick for the first
+/// op that has a site.
+fn mutate_parsed(
+    file: &SourceFile,
+    sites: &[usize; 5],
+    rng: &mut StdRng,
+) -> Option<(String, SemanticOp)> {
     // Try ops in random order until one has a site.
-    let mut ops = SemanticOp::ALL.to_vec();
-    for i in (1..ops.len()).rev() {
-        ops.swap(i, rng.gen_range(0..=i));
+    let mut order = [0, 1, 2, 3, 4];
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..=i));
     }
-    for op in ops {
-        let mut mutated = file.clone();
-        let sites = count_sites(&mutated, op);
+    for k in order {
+        let (op, sites) = (SemanticOp::ALL[k], sites[k]);
         if sites == 0 {
             continue;
         }
         let target = rng.gen_range(0..sites);
         let mut counter = target as isize;
         let pick = rng.gen_range(0..u32::MAX);
+        let mut mutated = file.clone();
         for m in &mut mutated.modules {
             for item in &mut m.items {
                 mutate_item(item, op, &mut counter, pick);
@@ -72,8 +88,13 @@ pub fn semantic_mutate(src: &str, rng: &mut StdRng) -> Option<(String, SemanticO
     None
 }
 
-/// Generates up to `count` distinct semantic mutants of `src`.
+/// Generates up to `count` distinct semantic mutants of `src`. The source
+/// is parsed and its sites counted once; every attempt mutates a clone.
 pub fn semantic_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SemanticOp)> {
+    let Ok(file) = vgen_verilog::parse(src) else {
+        return Vec::new();
+    };
+    let sites = site_counts(&file);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out: Vec<(String, SemanticOp)> = Vec::new();
     let mut seen = std::collections::HashSet::new();
@@ -82,7 +103,7 @@ pub fn semantic_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, Sema
         if out.len() >= count {
             break;
         }
-        if let Some((m, op)) = semantic_mutate(src, &mut rng) {
+        if let Some((m, op)) = mutate_parsed(&file, &sites, &mut rng) {
             if seen.insert(m.clone()) {
                 out.push((m, op));
             }

@@ -108,6 +108,28 @@ mod tests {
     }
 
     #[test]
+    fn testbench_ast_is_parsed_once_per_testbench() {
+        for id in 1..=25 {
+            let p = problem(id).expect("problem");
+            let ast = p.testbench_ast();
+            assert!(
+                std::ptr::eq(ast, p.testbench_ast()),
+                "problem {id} re-parsed"
+            );
+            assert_eq!(*ast, vgen_verilog::parse(p.testbench).expect("parses"));
+        }
+        // A hand-built problem reusing a catalog id gets its own testbench.
+        let custom = Problem {
+            testbench: "module tb; endmodule\n",
+            ..problem(2).expect("problem 2").clone()
+        };
+        let ast = custom.testbench_ast();
+        assert_eq!(ast.modules.len(), 1);
+        assert!(std::ptr::eq(ast, custom.clone().testbench_ast()));
+        assert!(!std::ptr::eq(ast, problem(2).expect("p2").testbench_ast()));
+    }
+
+    #[test]
     fn testbenches_name_the_dut() {
         for p in problems() {
             assert!(

@@ -1,6 +1,9 @@
 //! Core types for the 17-problem benchmark set (paper Table II).
 
 use std::fmt;
+use std::sync::{Mutex, OnceLock};
+
+use vgen_verilog::SourceFile;
 
 /// Problem difficulty tier from Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -125,6 +128,38 @@ impl Problem {
         let mut v = vec![self.reference_source()];
         v.extend(self.alternate_bodies.iter().map(|b| self.assemble(b)));
         v
+    }
+
+    /// The testbench, parsed once per process and shared by every check
+    /// of this problem (a candidate is elaborated together with it rather
+    /// than re-parsed as one concatenated text).
+    ///
+    /// # Panics
+    ///
+    /// If the testbench does not parse; every catalog testbench does.
+    pub fn testbench_ast(&self) -> &'static SourceFile {
+        static CATALOG: OnceLock<Vec<OnceLock<SourceFile>>> = OnceLock::new();
+        static OTHERS: Mutex<Vec<(&'static str, &'static SourceFile)>> = Mutex::new(Vec::new());
+        let parse = || {
+            vgen_verilog::parse(self.testbench)
+                .unwrap_or_else(|e| panic!("problem {} testbench: {e}", self.id))
+        };
+        // Catalog problems get a slot by id; anything else (a hand-built
+        // `Problem`) is keyed by its testbench text.
+        if crate::problem(self.id).is_some_and(|p| std::ptr::eq(p.testbench, self.testbench)) {
+            let table = CATALOG.get_or_init(|| {
+                let n = crate::problems().len() + crate::extended_problems().len();
+                (0..n).map(|_| OnceLock::new()).collect()
+            });
+            return table[usize::from(self.id) - 1].get_or_init(parse);
+        }
+        let mut others = OTHERS.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, ast)) = others.iter().find(|(tb, _)| *tb == self.testbench) {
+            return ast;
+        }
+        let ast: &'static SourceFile = Box::leak(Box::new(parse()));
+        others.push((self.testbench, ast));
+        ast
     }
 }
 

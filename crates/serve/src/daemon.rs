@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use vgen_core::guard::spawn_checker;
 use vgen_obs::CancelToken;
 
 use crate::json::Json;
@@ -481,13 +482,23 @@ fn serve_connection<R, W>(
                         | Request::Subscribe { .. }
                 );
                 if heavy {
-                    let writer = Arc::clone(&writer);
+                    let id = envelope.id;
+                    let thread_writer = Arc::clone(&writer);
                     let registry = Arc::clone(&registry);
                     let shutdown = Arc::clone(&shutdown);
                     let live = live.clone();
-                    workers.push(std::thread::spawn(move || {
-                        run_request(envelope, &writer, &registry, &shutdown, &live, conn);
-                    }));
+                    // A checker thread: its checks run inline on its own
+                    // stack unless the request sets a deadline.
+                    let spawned = spawn_checker(format!("vgen-req-{conn}"), move || {
+                        run_request(envelope, &thread_writer, &registry, &shutdown, &live, conn);
+                    });
+                    match spawned {
+                        Ok(h) => workers.push(h),
+                        Err(e) => {
+                            let message = format!("cannot spawn request thread: {e}");
+                            respond(&writer, id, &Event::Error { message });
+                        }
+                    }
                     // Dropping a finished handle releases its thread's
                     // stack; keeping it pins the stack until EOF.
                     workers.retain(|h| !h.is_finished());

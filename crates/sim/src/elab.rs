@@ -109,9 +109,31 @@ pub fn elaborate_with_cancel(
     top: &str,
     cancel: &vgen_obs::CancelToken,
 ) -> Result<Design, ElabError> {
+    elaborate_files(&[file], top, cancel)
+}
+
+/// [`elaborate_with_cancel`] over several parsed files at once, as if
+/// their texts had been concatenated in order: a module name resolves to
+/// its first definition across `files`. This is how a candidate DUT is
+/// elaborated together with a testbench parsed once up front.
+///
+/// ```
+/// use vgen_verilog::parse;
+/// use vgen_sim::elab::elaborate_files;
+/// let dut = parse("module inv(input a, output y); assign y = ~a; endmodule")?;
+/// let tb = parse("module tb; reg a; wire y; inv u(.a(a), .y(y)); endmodule")?;
+/// let design = elaborate_files(&[&dut, &tb], "tb", &vgen_obs::CancelToken::unlimited())?;
+/// assert_eq!(design.top, "tb");
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn elaborate_files(
+    files: &[&SourceFile],
+    top: &str,
+    cancel: &vgen_obs::CancelToken,
+) -> Result<Design, ElabError> {
     let _span = vgen_obs::span("elaborate");
     let mut el = Elaborator {
-        file,
+        files,
         design: Design {
             top: top.to_string(),
             ..Design::default()
@@ -172,7 +194,7 @@ struct DeclInfo {
 }
 
 struct Elaborator<'a> {
-    file: &'a SourceFile,
+    files: &'a [&'a SourceFile],
     design: Design,
     temp_counter: u32,
     /// Module instances elaborated so far (capped at [`MAX_INSTANCES`]).
@@ -192,6 +214,11 @@ struct Elaborator<'a> {
 const CANCEL_POLL_WORK: u32 = 1024;
 
 impl<'a> Elaborator<'a> {
+    /// The first definition of `name` across the elaborated files.
+    fn module(&self, name: &str) -> Option<&'a ast::Module> {
+        self.files.iter().find_map(|f| f.module(name))
+    }
+
     /// Counts one unit of work; every [`CANCEL_POLL_WORK`] units, polls the
     /// cancel token and errors out if it has tripped.
     fn check_cancel(&mut self, span: Span) -> Result<(), ElabError> {
@@ -231,10 +258,8 @@ impl<'a> Elaborator<'a> {
             ));
         }
         let module = self
-            .file
             .module(module_name)
-            .ok_or_else(|| ElabError::new(format!("unknown module `{module_name}`"), inst_span))?
-            .clone();
+            .ok_or_else(|| ElabError::new(format!("unknown module `{module_name}`"), inst_span))?;
 
         let mut scope = Scope::default();
 
@@ -1051,10 +1076,8 @@ impl<'a> Elaborator<'a> {
             depth + 1,
         )?;
         let child = self
-            .file
             .module(&inst.module)
-            .expect("instantiate verified the module exists")
-            .clone();
+            .expect("instantiate verified the module exists");
 
         // Resolve connections to (port name, outer expr).
         let mut bindings: Vec<(String, &Expr)> = Vec::new();
