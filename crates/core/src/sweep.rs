@@ -48,7 +48,7 @@ use vgen_sim::SimConfig;
 use vgen_lint::Rule;
 
 use crate::chaos::{ChaosSite, ChaosSpec};
-use crate::check::{FaultKind, LintCounts};
+use crate::check::{assemble, FaultKind, LintCounts};
 use crate::guard::{run_on_checker, supervised_check_completion, CheckPolicy};
 use crate::metrics::Tally;
 use crate::pool::{ReorderBuffer, WorkerPool};
@@ -351,11 +351,11 @@ pub struct SweepOptions {
     /// from the merge loop. Callers should gate this on stdout being a
     /// TTY ([`SweepOptions::progress_auto`]) so CI logs stay clean.
     pub progress: bool,
-    /// Completion-dedup cache (on by default): identical completion texts
-    /// for the same (problem, prompt level) are compiled and simulated
-    /// once, and every duplicate replays the cached outcome. Checks are
-    /// deterministic in those inputs, so reports and journals are
-    /// byte-identical with the cache on or off.
+    /// Completion-dedup cache (on by default): completions of the same
+    /// problem that assemble to the same source are compiled and
+    /// simulated once, and every duplicate replays the cached outcome.
+    /// Checks are deterministic in those inputs, so reports and journals
+    /// are byte-identical with the cache on or off.
     pub dedup: bool,
     /// Per-check supervision: wall-clock deadline, retry budget and chaos
     /// injection ([`CheckPolicy`]). The default has no deadline and no
@@ -649,22 +649,29 @@ fn task_panic_fires(chaos: &ChaosSpec, pos: usize) -> bool {
             .is_some()
 }
 
-/// Cache key for the completion-dedup cache: a fingerprint of the
-/// (problem, prompt level) pair and the FNV-1a hash of the completion
-/// text. `config.sim` is fixed for the duration of a sweep, so these are
-/// the only check inputs that can change an outcome.
-fn dedup_key(item: &WorkItem) -> (u64, u64) {
-    let fp = fnv1a(format!("{}:{}", item.problem.id, item.level.tag()).as_bytes());
-    (fp, fnv1a(item.completion.text.as_bytes()))
+/// Cache key for the completion-dedup cache: the problem id and the
+/// FNV-1a hash of the source the check compiles, `assemble(problem, level,
+/// text)`. A check is a pure function of the problem, that source and
+/// `config.sim`, which is fixed for the duration of a sweep. Keying on the
+/// assembled source lets a whole-module completion hit across prompt
+/// levels, and with or without a tail that truncation cuts off.
+type DedupKey = (u8, u64);
+
+fn dedup_key(item: &WorkItem) -> DedupKey {
+    let source = assemble(item.problem, item.level, &item.completion.text);
+    (item.problem.id, fnv1a(source.as_bytes()))
 }
 
 /// The outcome fields of one checked completion as stored in the dedup
 /// cache. Per-sample fields (grid coordinates, latency) come from the
 /// duplicate's own [`ItemMeta`] at replay time, so a replayed [`Record`] is
-/// identical to what a fresh check of the same text would have produced.
-/// Harness faults are cached too: the guard makes them deterministic per
-/// completion text, and skipping them would make hit counts differ between
-/// the serial and parallel paths.
+/// identical to what a fresh check of the same source would have produced.
+/// Harness faults are cached too, and skipping them would make hit counts
+/// differ between the serial and parallel paths. Under `--chaos` a
+/// follower therefore replays its leader's injected fault, whichever site
+/// injected it: `task.panic` fires on the leader's grid position and
+/// `check.panic`/`check.timeout` on the leader's completion text, which
+/// may differ from the follower's by a truncated tail.
 #[derive(Clone)]
 struct CachedCheck {
     compiled: bool,
@@ -1248,6 +1255,7 @@ pub fn run_engine_sweep_sharded(
     let name = engine.name();
     let fp = config_fingerprint(config);
     let mut prior: Vec<Record> = Vec::new();
+    let mut prior_version = LineVersion::V3.number();
     let mut writer: Option<JournalWriter> = None;
     let mut stats = SweepStats::default();
     if let Some((path, resume)) = journal {
@@ -1284,6 +1292,7 @@ pub fn run_engine_sweep_sharded(
                 vgen_obs::counter_add("journal.repair", recovery.dropped_lines as u64);
             }
             prior = recs;
+            prior_version = recovery.version;
         }
         // (Re)write header + surviving records; on resume this also
         // truncates any torn trailing suffix left by a kill (and upgrades
@@ -1332,30 +1341,43 @@ pub fn run_engine_sweep_sharded(
     let mut progress = Progress::new(opts.progress, total, done_prior);
     let mut records = prior;
     let jobs = opts.effective_jobs();
-    // The dedup cache is never seeded from resumed (prior) records: v1
-    // journals carry no lint field, and replaying their `lint: None` into
-    // fresh duplicates would make a resumed run differ from a fresh one.
-    // Duplicates of prior completions simply get checked again.
     let use_cache = opts.dedup;
+    // On resume, the dedup cache starts with each resumed leader's record,
+    // so a duplicate after the cut replays it exactly as it would have in
+    // an uninterrupted run (which matters under `--chaos`, where a fresh
+    // check of the duplicate could inject a different fault). Pre-v3
+    // journals do not seed it: their records lack lint tallies or fault
+    // kinds, and duplicates of them are checked again.
+    let mut cache: HashMap<DedupKey, CachedCheck> = HashMap::new();
+    if use_cache && prior_version == LineVersion::V3.number() {
+        for (item, rec) in items.iter().zip(&records) {
+            cache
+                .entry(dedup_key(item))
+                .or_insert_with(|| CachedCheck::of(rec));
+        }
+    }
     let mut interrupted = false;
+    // Journals, observes and keeps the next record in canonical order.
+    let mut emit = |rec: Record| {
+        if let Some(w) = &writer {
+            w.write(rec.to_journal_line());
+        }
+        hooks.observe(&rec, records.len() + 1, total);
+        records.push(rec);
+        progress.tick();
+    };
 
     if jobs <= 1 {
         // Serial path: check in canonical order, consulting the cache
         // before each check, all on one checker thread (so no check
         // spawns a thread of its own).
         interrupted = run_on_checker(|| {
-            let mut cache: HashMap<(u64, u64), CachedCheck> = HashMap::new();
             for item in items.into_iter().skip(done_prior) {
                 if hooks.cancelled() {
                     return true;
                 }
-                let key = dedup_key(&item);
-                let cached = if use_cache {
-                    cache.get(&key).cloned()
-                } else {
-                    None
-                };
-                let rec = match cached {
+                let key = use_cache.then(|| dedup_key(&item));
+                let rec = match key.and_then(|k| cache.get(&k)) {
                     Some(hit) => {
                         stats.cache_hits += 1;
                         vgen_obs::counter_add("dedup.hit", 1);
@@ -1368,18 +1390,13 @@ pub fn run_engine_sweep_sharded(
                             check_item(&item, config.sim, &opts.policy)
                         };
                         stats.checks_run += 1;
-                        if use_cache {
+                        if let Some(key) = key {
                             cache.insert(key, CachedCheck::of(&rec));
                         }
                         rec
                     }
                 };
-                if let Some(w) = &writer {
-                    w.write(rec.to_journal_line());
-                }
-                hooks.observe(&rec, records.len() + 1, total);
-                records.push(rec);
-                progress.tick();
+                emit(rec);
             }
             false
         });
@@ -1395,13 +1412,22 @@ pub fn run_engine_sweep_sharded(
         // arrives. Leaders are picked in the same order the serial path
         // consults its cache, so hit counts — and every record — are
         // identical across `--jobs` values.
-        let mut leader_of: HashMap<(u64, u64), usize> = HashMap::new();
+        // Duplicates of a resumed record replay it straight away.
+        let mut leader_of: HashMap<DedupKey, usize> = HashMap::new();
         let mut followers: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut outstanding: BTreeSet<usize> = BTreeSet::new();
+        let mut reorder = ReorderBuffer::new(done_prior);
         let mut submitted = 0usize;
         for (dense, item) in items.into_iter().enumerate().skip(done_prior) {
             if use_cache {
-                match leader_of.entry(dedup_key(&item)) {
+                let key = dedup_key(&item);
+                if let Some(hit) = cache.get(&key) {
+                    reorder.push(dense, hit.replay(metas[dense - done_prior]));
+                    stats.cache_hits += 1;
+                    vgen_obs::counter_add("dedup.hit", 1);
+                    continue;
+                }
+                match leader_of.entry(key) {
                     Entry::Occupied(leader) => {
                         followers.entry(*leader.get()).or_default().push(dense);
                         stats.cache_hits += 1;
@@ -1429,6 +1455,9 @@ pub fn run_engine_sweep_sharded(
             submitted += 1;
         }
         stats.checks_run = submitted;
+        while let Some(rec) = reorder.pop_ready() {
+            emit(rec);
+        }
         let stall_timeout = opts.stall_timeout.unwrap_or(RESULT_TIMEOUT);
         // With a cancel token attached, wait in short slices so
         // cancellation latency is bounded by the slice, not the stall
@@ -1438,7 +1467,6 @@ pub fn run_engine_sweep_sharded(
         } else {
             stall_timeout
         };
-        let mut reorder = ReorderBuffer::new(done_prior);
         let mut stalled = false;
         'recv: for _received in 0..submitted {
             let waited = Instant::now();
@@ -1476,12 +1504,7 @@ pub fn run_engine_sweep_sharded(
             }
             reorder.push(pos, rec);
             while let Some(rec) = reorder.pop_ready() {
-                if let Some(w) = &writer {
-                    w.write(rec.to_journal_line());
-                }
-                hooks.observe(&rec, records.len() + 1, total);
-                records.push(rec);
-                progress.tick();
+                emit(rec);
             }
         }
         if interrupted {
@@ -1490,12 +1513,7 @@ pub fn run_engine_sweep_sharded(
             // remaining queue discarded — a cancelled request must not
             // keep burning CPU on checks nobody will read.
             while let Some(rec) = reorder.pop_ready() {
-                if let Some(w) = &writer {
-                    w.write(rec.to_journal_line());
-                }
-                hooks.observe(&rec, records.len() + 1, total);
-                records.push(rec);
-                progress.tick();
+                emit(rec);
             }
             pool.abort();
         } else {
@@ -1521,12 +1539,7 @@ pub fn run_engine_sweep_sharded(
                     reorder.push(pos, rec);
                 }
                 while let Some(rec) = reorder.pop_ready() {
-                    if let Some(w) = &writer {
-                        w.write(rec.to_journal_line());
-                    }
-                    hooks.observe(&rec, records.len() + 1, total);
-                    records.push(rec);
-                    progress.tick();
+                    emit(rec);
                 }
             }
             debug_assert_eq!(reorder.pending_len(), 0, "reorder buffer drained");

@@ -35,7 +35,7 @@ use vgen_verilog::SourceFile;
 
 use crate::engine::{Completion, CompletionEngine};
 use crate::latency::sample_seconds;
-use crate::mutate::{semantic_mutants, syntax_mutants};
+use crate::mutate::{SemanticMutants, SyntaxMutants};
 use crate::registry::{ModelFamily, ModelId, Tuning};
 
 /// Compile-rate anchor from Table III (best temperature, n = 10).
@@ -204,11 +204,14 @@ pub fn build_bank(problem: &Problem, seed: u64, per_pool: usize) -> MutantBank {
     // bank builder need not hold every testbench AST for the process's
     // life (a simulation-only process builds banks for all problems).
     let testbench = vgen_verilog::parse(problem.testbench).ok();
+    // Both mutant streams are lazy: a pool stops pulling once it is full,
+    // so mutants it would never look at are not rendered.
     let mut functional_fail = vec![problem.assemble("endmodule\n")];
-    for (mutant, _) in semantic_mutants(&reference, seed, per_pool * 3) {
-        if functional_fail.len() >= per_pool {
+    let mut semantic = SemanticMutants::new(&reference, seed, per_pool * 3);
+    while functional_fail.len() < per_pool {
+        let Some((mutant, _)) = semantic.next() else {
             break;
-        }
+        };
         let Some(file) = compiled(&mutant) else {
             continue;
         };
@@ -216,15 +219,14 @@ pub fn build_bank(problem: &Problem, seed: u64, per_pool: usize) -> MutantBank {
             functional_fail.push(mutant);
         }
     }
+    // Syntax mutants already failed the parser, so none of them compiles.
     let mut syntax_fail = vec![problem.assemble("always @( begin\n")];
-    for (mutant, _) in syntax_mutants(&reference, seed ^ 0xBAD, per_pool) {
-        if syntax_fail.len() >= per_pool {
-            break;
-        }
-        if !compiles(&mutant) {
-            syntax_fail.push(mutant);
-        }
-    }
+    let missing = per_pool.saturating_sub(syntax_fail.len());
+    syntax_fail.extend(
+        SyntaxMutants::new(&reference, seed ^ 0xBAD, per_pool)
+            .take(missing)
+            .map(|(mutant, _)| mutant),
+    );
     MutantBank {
         correct: problem.all_solutions(),
         functional_fail,

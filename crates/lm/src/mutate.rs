@@ -9,6 +9,8 @@
 //! testbench is verified downstream by the bank builder in
 //! [`crate::family`].
 
+use std::collections::HashSet;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vgen_verilog::ast::*;
@@ -46,7 +48,8 @@ impl SemanticOp {
 /// applicable site.
 pub fn semantic_mutate(src: &str, rng: &mut StdRng) -> Option<(String, SemanticOp)> {
     let file = vgen_verilog::parse(src).ok()?;
-    mutate_parsed(&file, &site_counts(&file), rng)
+    let site = draw_site(&site_counts(&file), rng)?;
+    Some((render_mutant(&file, site), site.op))
 }
 
 /// Mutation sites per op, in [`SemanticOp::ALL`] order.
@@ -54,62 +57,113 @@ fn site_counts(file: &SourceFile) -> [usize; 5] {
     SemanticOp::ALL.map(|op| count_sites(file, op))
 }
 
-/// [`semantic_mutate`] on a parsed file whose `sites` are known. The RNG
-/// draws are the shuffle of the ops, then a site and a pick for the first
-/// op that has a site.
-fn mutate_parsed(
-    file: &SourceFile,
-    sites: &[usize; 5],
-    rng: &mut StdRng,
-) -> Option<(String, SemanticOp)> {
-    // Try ops in random order until one has a site.
+/// One semantic mutation: the op, which of its sites, and the variant
+/// [`mutation_variant`] selects. The mutant's text is a pure function of
+/// these and the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Site {
+    op: SemanticOp,
+    index: usize,
+    variant: u32,
+}
+
+/// Draws one mutation. The RNG draws are the shuffle of the ops, then a
+/// site index and a pick for the first op that has a site; `None` (after
+/// the shuffle only) when no op has one.
+fn draw_site(sites: &[usize; 5], rng: &mut StdRng) -> Option<Site> {
     let mut order = [0, 1, 2, 3, 4];
     for i in (1..order.len()).rev() {
         order.swap(i, rng.gen_range(0..=i));
     }
-    for k in order {
-        let (op, sites) = (SemanticOp::ALL[k], sites[k]);
-        if sites == 0 {
-            continue;
-        }
-        let target = rng.gen_range(0..sites);
-        let mut counter = target as isize;
-        let pick = rng.gen_range(0..u32::MAX);
-        let mut mutated = file.clone();
-        for m in &mut mutated.modules {
-            for item in &mut m.items {
-                mutate_item(item, op, &mut counter, pick);
-            }
-        }
-        if counter < 0 {
-            return Some((pretty_file(&mutated), op));
-        }
-    }
-    None
+    let k = order.into_iter().find(|&k| sites[k] > 0)?;
+    let op = SemanticOp::ALL[k];
+    let index = rng.gen_range(0..sites[k]);
+    let pick = rng.gen_range(0..u32::MAX);
+    Some(Site {
+        op,
+        index,
+        variant: mutation_variant(op, pick),
+    })
 }
 
-/// Generates up to `count` distinct semantic mutants of `src`. The source
-/// is parsed and its sites counted once; every attempt mutates a clone.
-pub fn semantic_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SemanticOp)> {
-    let Ok(file) = vgen_verilog::parse(src) else {
-        return Vec::new();
-    };
-    let sites = site_counts(&file);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out: Vec<(String, SemanticOp)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(src.to_string());
-    for _ in 0..count * 8 {
-        if out.len() >= count {
-            break;
-        }
-        if let Some((m, op)) = mutate_parsed(&file, &sites, &mut rng) {
-            if seen.insert(m.clone()) {
-                out.push((m, op));
-            }
+/// Clones `file`, applies `site`'s mutation and pretty-prints the result.
+/// The site walk visits the same locations [`count_sites`] counted, so
+/// every drawn index is reached.
+fn render_mutant(file: &SourceFile, site: Site) -> String {
+    let mut counter = site.index as isize;
+    let mut mutated = file.clone();
+    for m in &mut mutated.modules {
+        for item in &mut m.items {
+            mutate_item(item, site.op, &mut counter, site.variant);
         }
     }
-    out
+    debug_assert!(counter < 0, "site {site:?} not reached");
+    pretty_file(&mutated)
+}
+
+/// The distinct semantic mutants of a source, generated lazily: each
+/// `next` draws mutations until one renders to a text not seen before, so
+/// a consumer that stops early never pays for the rest.
+///
+/// Each draw consumes the same RNG values whether or not it is rendered.
+/// A site drawn before is skipped without cloning or printing the AST: its
+/// text was already yielded or rejected as a duplicate.
+pub(crate) struct SemanticMutants {
+    file: Option<SourceFile>,
+    sites: [usize; 5],
+    rng: StdRng,
+    attempts_left: usize,
+    wanted: usize,
+    rendered: HashSet<Site>,
+    seen: HashSet<String>,
+}
+
+impl SemanticMutants {
+    /// Up to `count` distinct mutants of `src` from `count * 8` draws. The
+    /// source is parsed and its sites counted once; nothing is yielded when
+    /// it does not parse.
+    pub fn new(src: &str, seed: u64, count: usize) -> Self {
+        let file = vgen_verilog::parse(src).ok();
+        let sites = file.as_ref().map_or([0; 5], site_counts);
+        SemanticMutants {
+            file,
+            sites,
+            rng: StdRng::seed_from_u64(seed),
+            attempts_left: count * 8,
+            wanted: count,
+            rendered: HashSet::new(),
+            seen: HashSet::from([src.to_string()]),
+        }
+    }
+}
+
+impl Iterator for SemanticMutants {
+    type Item = (String, SemanticOp);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let file = self.file.as_ref()?;
+        while self.wanted > 0 && self.attempts_left > 0 {
+            self.attempts_left -= 1;
+            let Some(site) = draw_site(&self.sites, &mut self.rng) else {
+                continue;
+            };
+            if !self.rendered.insert(site) {
+                continue;
+            }
+            let text = render_mutant(file, site);
+            if self.seen.insert(text.clone()) {
+                self.wanted -= 1;
+                return Some((text, site.op));
+            }
+        }
+        None
+    }
+}
+
+/// Generates up to `count` distinct semantic mutants of `src`. The bank
+/// builder pulls the same sequence lazily and may stop at any prefix.
+pub fn semantic_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SemanticOp)> {
+    SemanticMutants::new(src, seed, count).collect()
 }
 
 /// Kinds of text-level syntax corruption.
@@ -171,23 +225,53 @@ pub fn syntax_corrupt(src: &str, rng: &mut StdRng) -> Option<(String, SyntaxOp)>
     Some((out, op))
 }
 
-/// Generates up to `count` syntax-corrupted variants, each verified to
-/// actually fail [`vgen_verilog::syntax_check`].
-pub fn syntax_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SyntaxOp)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out: Vec<(String, SyntaxOp)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for _ in 0..count * 10 {
-        if out.len() >= count {
-            break;
-        }
-        if let Some((m, op)) = syntax_corrupt(src, &mut rng) {
-            if vgen_verilog::syntax_check(&m).is_err() && seen.insert(m.clone()) {
-                out.push((m, op));
-            }
+/// The distinct syntax-corrupted variants of a source, each verified to
+/// actually fail [`vgen_verilog::syntax_check`], generated lazily like
+/// [`SemanticMutants`].
+pub(crate) struct SyntaxMutants<'a> {
+    src: &'a str,
+    rng: StdRng,
+    attempts_left: usize,
+    wanted: usize,
+    seen: HashSet<String>,
+}
+
+impl<'a> SyntaxMutants<'a> {
+    /// Up to `count` distinct variants of `src` from `count * 10` draws.
+    pub fn new(src: &'a str, seed: u64, count: usize) -> Self {
+        SyntaxMutants {
+            src,
+            rng: StdRng::seed_from_u64(seed),
+            attempts_left: count * 10,
+            wanted: count,
+            seen: HashSet::new(),
         }
     }
-    out
+}
+
+impl Iterator for SyntaxMutants<'_> {
+    type Item = (String, SyntaxOp);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.wanted > 0 && self.attempts_left > 0 {
+            self.attempts_left -= 1;
+            let Some((m, op)) = syntax_corrupt(self.src, &mut self.rng) else {
+                continue;
+            };
+            if vgen_verilog::syntax_check(&m).is_err() && self.seen.insert(m.clone()) {
+                self.wanted -= 1;
+                return Some((m, op));
+            }
+        }
+        None
+    }
+}
+
+/// Generates up to `count` distinct syntax-corrupted variants of `src`,
+/// each verified to fail [`vgen_verilog::syntax_check`]. The bank builder
+/// pulls the same sequence lazily and may stop at any prefix.
+pub fn syntax_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SyntaxOp)> {
+    SyntaxMutants::new(src, seed, count).collect()
 }
 
 fn find_nth_occurrence(src: &str, needle: &str, rng: &mut StdRng) -> Option<usize> {
@@ -717,7 +801,7 @@ fn swap_op(op: BinaryOp) -> Option<BinaryOp> {
     })
 }
 
-fn mutate_item(item: &mut Item, op: SemanticOp, counter: &mut isize, pick: u32) {
+fn mutate_item(item: &mut Item, op: SemanticOp, counter: &mut isize, variant: u32) {
     visit_item(item, &mut |loc| {
         if !loc_matches(&loc, op) {
             return;
@@ -727,16 +811,27 @@ fn mutate_item(item: &mut Item, op: SemanticOp, counter: &mut isize, pick: u32) 
             return;
         }
         *counter -= 1;
-        apply_mutation(loc, op, pick);
+        apply_mutation(loc, op, variant);
     });
 }
 
-fn apply_mutation(loc: Loc<'_>, op: SemanticOp, pick: u32) {
+/// The variant of `op` that a random `pick` selects: `TweakConst` adds one
+/// (variant 0) or subtracts one (variant 1); every other op has a single
+/// variant. [`apply_mutation`] reads nothing else of the pick, so two
+/// draws with the same op, site and variant render the same text.
+fn mutation_variant(op: SemanticOp, pick: u32) -> u32 {
+    match op {
+        SemanticOp::TweakConst => pick % 2,
+        _ => 0,
+    }
+}
+
+fn apply_mutation(loc: Loc<'_>, op: SemanticOp, variant: u32) {
     match (loc, op) {
         (Loc::Expr(e), SemanticOp::TweakConst) => {
             if let ExprKind::Number(v) = &e.kind {
                 let one = LogicVec::from_u64(1, v.width());
-                let tweaked = if pick.is_multiple_of(2) {
+                let tweaked = if variant == 0 {
                     v.add(&one)
                 } else {
                     v.sub(&one)
@@ -1032,6 +1127,77 @@ endmodule
             semantic_mutants(COUNTER, 9, 5)
         );
         assert_eq!(syntax_mutants(COUNTER, 9, 5), syntax_mutants(COUNTER, 9, 5));
+    }
+
+    /// The generator before draws were memoised by site: every attempt
+    /// clones and prints the AST, and `TweakConst` reads the raw pick.
+    fn unmemoised_semantic_mutants(
+        src: &str,
+        seed: u64,
+        count: usize,
+    ) -> Vec<(String, SemanticOp)> {
+        let Ok(file) = vgen_verilog::parse(src) else {
+            return Vec::new();
+        };
+        let sites = site_counts(&file);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = Vec::new();
+        let mut seen = HashSet::from([src.to_string()]);
+        'attempts: for _ in 0..count * 8 {
+            if out.len() >= count {
+                break;
+            }
+            let mut order = [0, 1, 2, 3, 4];
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            for k in order {
+                let (op, sites) = (SemanticOp::ALL[k], sites[k]);
+                if sites == 0 {
+                    continue;
+                }
+                let mut counter = rng.gen_range(0..sites) as isize;
+                let pick = rng.gen_range(0..u32::MAX);
+                let mut mutated = file.clone();
+                for m in &mut mutated.modules {
+                    for item in &mut m.items {
+                        mutate_item(item, op, &mut counter, pick % 2);
+                    }
+                }
+                if counter < 0 {
+                    let m = pretty_file(&mutated);
+                    if seen.insert(m.clone()) {
+                        out.push((m, op));
+                    }
+                    continue 'attempts;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn memoised_stream_matches_unmemoised_loop_and_is_prefix_stable() {
+        for id in 1..=25 {
+            let p = vgen_problems::problem(id).expect("problem");
+            let src = p.reference_source();
+            for seed in [42u64, 7 ^ 3] {
+                let seed = seed ^ u64::from(id);
+                for count in [1, 10, 30] {
+                    let stream = semantic_mutants(&src, seed, count);
+                    assert_eq!(
+                        stream,
+                        unmemoised_semantic_mutants(&src, seed, count),
+                        "problem {id}, seed {seed}, count {count}"
+                    );
+                    for k in 0..=stream.len() {
+                        let prefix: Vec<_> =
+                            SemanticMutants::new(&src, seed, count).take(k).collect();
+                        assert_eq!(prefix[..], stream[..k], "problem {id}, prefix {k}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -541,7 +541,6 @@ pub fn serve_unix(socket: &Path, opts: &DaemonOptions) -> io::Result<()> {
         Err(e) => return Err(e),
     }
     let listener = UnixListener::bind(socket)?;
-    listener.set_nonblocking(true)?;
     // Daemon-lifetime recording session: the live metrics plane drains it
     // via snapshots; nothing collects it until shutdown.
     vgen_obs::enable();
@@ -552,37 +551,33 @@ pub fn serve_unix(socket: &Path, opts: &DaemonOptions) -> io::Result<()> {
     if opts.verbose {
         eprintln!("[serve] listening on {}", socket.display());
     }
+    // The accept blocks. A connection that ends with `shutdown` set
+    // connects once more to wake it, and the woken loop sees the flag.
     loop {
+        let (stream, _) = listener.accept()?;
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if opts.verbose {
-                    eprintln!("[serve] connection accepted");
-                }
-                let shutdown = Arc::clone(&shutdown);
-                let live = live.clone();
-                let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-                conns.push(std::thread::spawn(move || {
-                    // Blocking I/O per connection; the listener alone is
-                    // non-blocking.
-                    let _ = stream.set_nonblocking(false);
-                    let write_half: UnixStream = match stream.try_clone() {
-                        Ok(s) => s,
-                        Err(_) => return,
-                    };
-                    let writer = Arc::new(LineWriter {
-                        inner: Mutex::new(write_half),
-                    });
-                    serve_connection(stream, writer, shutdown, live, conn);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => return Err(e),
+        if opts.verbose {
+            eprintln!("[serve] connection accepted");
         }
+        let shutdown = Arc::clone(&shutdown);
+        let live = live.clone();
+        let conn = next_conn.fetch_add(1, Ordering::Relaxed);
+        let wake_path = socket.to_path_buf();
+        conns.push(std::thread::spawn(move || {
+            let write_half: UnixStream = match stream.try_clone() {
+                Ok(s) => s,
+                Err(_) => return,
+            };
+            let writer = Arc::new(LineWriter {
+                inner: Mutex::new(write_half),
+            });
+            serve_connection(stream, writer, Arc::clone(&shutdown), live, conn);
+            if shutdown.load(Ordering::SeqCst) {
+                let _ = UnixStream::connect(&wake_path);
+            }
+        }));
         conns.retain(|h| !h.is_finished());
     }
     for c in conns {

@@ -215,3 +215,82 @@ fn injected_torn_write_crashes_then_resumes_to_a_clean_report() {
         "torn-write resume left different journal bytes"
     );
 }
+
+/// Deterministic engine that repeats two whole modules per problem, each
+/// alternately with and without a tail that truncation cuts, at every
+/// prompt level: most items are dedup followers of an earlier leader whose
+/// completion text differs from theirs.
+struct RepeatingEngine {
+    cursor: usize,
+}
+
+impl CompletionEngine for RepeatingEngine {
+    fn name(&self) -> String {
+        "chaos-repeating".into()
+    }
+
+    fn generate(
+        &mut self,
+        problem: &Problem,
+        _level: PromptLevel,
+        _temperature: f64,
+        n: usize,
+    ) -> Vec<Completion> {
+        let palette = [problem.reference_source(), problem.assemble("endmodule\n")];
+        (0..n)
+            .map(|_| {
+                let i = self.cursor;
+                self.cursor += 1;
+                let mut text = palette[i % 2].clone();
+                if (i / 2) % 2 == 1 {
+                    text.push_str(
+                        "\n// continued output\nmodule scratch(input t_unused);\nendmodule\n",
+                    );
+                }
+                Completion {
+                    text,
+                    latency_s: 0.001,
+                }
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn chaos_resume_at_any_cut_replays_resumed_leaders() {
+    let cfg = EvalConfig {
+        levels: PromptLevel::ALL.to_vec(),
+        ns: vec![6],
+        ..cfg()
+    };
+    let sweep = |path: &PathBuf, resume: bool, jobs: usize| {
+        run_engine_sweep_stats(
+            &mut RepeatingEngine { cursor: 0 },
+            &cfg,
+            Some((path, resume)),
+            &chaos_opts(jobs),
+        )
+        .expect("chaos sweep")
+        .0
+    };
+    let path = journal_path("repeating-full");
+    let _ = std::fs::remove_file(&path);
+    let full = sweep(&path, false, 1);
+    let full_journal = std::fs::read_to_string(&path).expect("journal");
+    assert!(full.fault_count() > 0, "chaos mix injected no faults");
+    let lines: Vec<&str> = full_journal.lines().collect();
+    // Cut after the header plus every number of complete records.
+    for cut in 1..lines.len() {
+        for jobs in [1usize, 2] {
+            std::fs::write(&path, lines[..cut].join("\n") + "\n").expect("cut journal");
+            let resumed = sweep(&path, true, jobs);
+            assert_eq!(resumed, full, "resume diverged at cut {cut}, jobs {jobs}");
+            assert_eq!(
+                std::fs::read_to_string(&path).expect("journal"),
+                full_journal,
+                "resumed journal diverged at cut {cut}, jobs {jobs}"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}

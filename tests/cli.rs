@@ -353,3 +353,52 @@ fn sim_writes_vcd() {
     let vcd = std::fs::read_to_string(&vcd_path).expect("vcd written");
     assert!(vcd.contains("$enddefinitions"));
 }
+
+#[test]
+fn serve_exits_after_shutdown_request() {
+    use std::io::{BufRead, BufReader};
+    use std::os::unix::net::UnixStream;
+    use std::time::{Duration, Instant};
+
+    let dir = std::env::temp_dir().join("vgen-cli-tests");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let socket = dir.join(format!("serve-{}.sock", std::process::id()));
+    let mut daemon = vgen()
+        .args(["serve", "--socket", socket.to_str().expect("utf8")])
+        .spawn()
+        .expect("spawn daemon");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let stream = loop {
+        match UnixStream::connect(&socket) {
+            Ok(s) => break s,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
+            Err(e) => {
+                let _ = daemon.kill();
+                panic!("daemon never listened: {e}");
+            }
+        }
+    };
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let mut ask = |line: &str| {
+        writeln!(writer, "{line}").expect("send request");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        reply
+    };
+    assert!(ask(r#"{"id":1,"cmd":"ping"}"#).contains("pong"));
+    assert!(ask(r#"{"id":2,"cmd":"shutdown"}"#).contains("shutting down"));
+    // The daemon must exit on its own, with this client still connected.
+    let status = loop {
+        if let Some(status) = daemon.try_wait().expect("poll daemon") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = daemon.kill();
+            panic!("daemon still running after shutdown");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "daemon exited with {status}");
+    assert!(!socket.exists(), "daemon must remove its socket");
+}

@@ -1,14 +1,19 @@
 //! Equivalence coverage for the completion-dedup check cache.
 //!
-//! The cache short-circuits checking when the same completion text recurs
-//! for the same (problem, prompt level), which is common at low sampling
-//! temperatures. Its contract is strict: reports and journals must be
+//! The cache short-circuits checking when the same source recurs for the
+//! same problem: one check per distinct *assembled* source, so two texts
+//! that assemble alike (a whole module at any prompt level, with or
+//! without a tail that truncation cuts) share a check. Its contract is
+//! strict: reports and journals must be
 //! **byte-identical** with the cache on or off, at any worker count, and
 //! across kill/resume — the cache may only change how fast answers arrive,
 //! never what they are.
 
 use std::path::PathBuf;
 
+use std::collections::HashSet;
+
+use vgen::core::check::assemble;
 use vgen::core::{
     render_eval_summary, run_engine_sweep, run_engine_sweep_stats, EvalConfig, EvalRun,
     SweepOptions, SweepStats,
@@ -182,4 +187,130 @@ fn cached_parallel_run_resumes_cleanly() {
         "resume with cache on lost or altered records"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Text a model appends after the module it was asked for; the harness
+/// truncation cuts it off.
+const TAIL: &str = "\n// continued output\nmodule scratch(input t_unused);\nendmodule\n";
+
+/// An engine that emits whole modules, as the calibrated family engine
+/// does: per problem, the reference solution, a wrong-output variant and a
+/// compile error, in turn, each alternately with and without [`TAIL`]. The
+/// same texts come back at every prompt level.
+struct WholeModuleEngine {
+    cursor: usize,
+}
+
+impl WholeModuleEngine {
+    fn palette(problem: &Problem) -> [String; 3] {
+        let reference = problem.reference_source();
+        let wrong = problem.assemble("endmodule\n");
+        let broken = format!("module {}(input a;\nendmodule\n", problem.module_name);
+        [reference, wrong, broken]
+    }
+}
+
+impl CompletionEngine for WholeModuleEngine {
+    fn name(&self) -> String {
+        "dedup-whole-module".into()
+    }
+
+    fn generate(
+        &mut self,
+        problem: &Problem,
+        _level: PromptLevel,
+        _temperature: f64,
+        n: usize,
+    ) -> Vec<Completion> {
+        let palette = Self::palette(problem);
+        (0..n)
+            .map(|_| {
+                let i = self.cursor;
+                self.cursor += 1;
+                let mut text = palette[i % 3].clone();
+                if (i / 3) % 2 == 1 {
+                    text.push_str(TAIL);
+                }
+                Completion {
+                    text,
+                    latency_s: 0.002,
+                }
+            })
+            .collect()
+    }
+}
+
+/// 2 problems × 3 levels × 12 completions = 72 items.
+fn whole_module_cfg() -> EvalConfig {
+    EvalConfig {
+        temperatures: vec![0.5],
+        ns: vec![12],
+        levels: PromptLevel::ALL.to_vec(),
+        problem_ids: vec![1, 2],
+        sim: SimConfig::default(),
+    }
+}
+
+#[test]
+fn whole_modules_are_checked_once_per_assembled_source() {
+    let cfg = whole_module_cfg();
+    // The distinct (problem, assembled source) pairs of the grid, counted
+    // here from the engine's own output.
+    let mut distinct = HashSet::new();
+    let mut engine = WholeModuleEngine { cursor: 0 };
+    for &pid in &cfg.problem_ids {
+        let p = vgen::problems::problem(pid).expect("problem");
+        for &level in &cfg.levels {
+            for c in engine.generate(p, level, 0.5, 12) {
+                distinct.insert((pid, assemble(p, level, &c.text)));
+            }
+        }
+    }
+    assert_eq!(distinct.len(), 6, "3 sources per problem, tails cut");
+
+    let run = |tag: &str, opts: &SweepOptions| {
+        let path = journal_path(tag);
+        let _ = std::fs::remove_file(&path);
+        let (run, stats) = run_engine_sweep_stats(
+            &mut WholeModuleEngine { cursor: 0 },
+            &cfg,
+            Some((&path, false)),
+            opts,
+        )
+        .expect("sweep");
+        let journal = std::fs::read(&path).expect("journal bytes");
+        let _ = std::fs::remove_file(&path);
+        (run, stats, journal)
+    };
+    let uncached = SweepOptions {
+        dedup: false,
+        ..SweepOptions::default()
+    };
+    let (baseline, base_stats, base_journal) = run("whole-off-1", &uncached);
+    assert_eq!(base_stats.checks_run, 72);
+    // Every outcome class is present, so a wrong replay would show.
+    assert!(baseline.records.iter().any(|r| r.passed));
+    assert!(baseline.records.iter().any(|r| r.compiled && !r.passed));
+    assert!(baseline.records.iter().any(|r| !r.compiled));
+    for jobs in [1usize, 4] {
+        for dedup in [true, false] {
+            let opts = SweepOptions {
+                dedup,
+                ..SweepOptions::parallel(jobs)
+            };
+            let (run, stats, journal) = run(&format!("whole-{jobs}-{dedup}"), &opts);
+            assert_eq!(run, baseline, "run diverged at jobs={jobs} dedup={dedup}");
+            assert_eq!(
+                journal, base_journal,
+                "journal diverged at jobs={jobs} dedup={dedup}"
+            );
+            assert_eq!(
+                render_eval_summary(&run, "j"),
+                render_eval_summary(&baseline, "j")
+            );
+            let expect = if dedup { distinct.len() } else { 72 };
+            assert_eq!(stats.checks_run, expect, "jobs={jobs} dedup={dedup}");
+            assert_eq!(stats.checks_run + stats.cache_hits, 72);
+        }
+    }
 }
